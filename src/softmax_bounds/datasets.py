@@ -8,6 +8,13 @@ with 1-based labels and 1-based, strictly increasing feature indices. In
 memory everything is 0-based (labels included) so arrays index naturally;
 the loaders and writers translate at the boundary.
 
+In memory a dataset is one CSR matrix plus a label array: row i holds the
+feature indices ``indices[indptr[i]:indptr[i + 1]]`` and the values at the
+same positions. The arrays are validated once, when the dataset is built,
+and are read-only from then on, so every consumer shares them. A single
+instance outside a dataset is a ``SparseVector``; the per-instance APIs
+(scores, predictions, the stochastic gradient) take that form.
+
 Class and feature counts are inferred as maxima over the file unless a
 sidecar JSON file ``<path>.meta.json`` with keys ``{"K": ..., "D": ...}``
 pins them (needed when the test split lacks the last class, say), or the
@@ -18,10 +25,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
+from softmax_bounds.config import ConfigError
 from softmax_bounds.rng import substream
 
 __all__ = [
@@ -36,6 +46,10 @@ __all__ = [
     "gen_toy_5class",
     "gen_powerlaw_categorical",
 ]
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+# idx:val tokens the loader converts per pass; bounds its memory on large files
+_PAIRS_PER_PASS = 1 << 16
 
 
 class DatasetFormatError(ValueError):
@@ -61,22 +75,10 @@ class SparseVector:
         return int(self.indices.size)
 
     def validate(self, num_features: int | None = None) -> None:
-        if self.indices.ndim != 1 or self.values.ndim != 1:
-            raise ValueError("indices and values must be 1-D")
-        if self.indices.size != self.values.size:
-            raise ValueError("indices and values length mismatch")
-        if self.indices.size:
-            if self.indices[0] < 0:
-                raise ValueError("negative feature index")
-            if np.any(np.diff(self.indices) <= 0):
-                raise ValueError("feature indices not strictly increasing")
-            if num_features is not None and self.indices[-1] >= num_features:
-                raise ValueError(
-                    f"feature index {int(self.indices[-1])} out of range "
-                    f"for {num_features} features"
-                )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("non-finite feature value")
+        """Raise ValueError unless the vector is a valid one-row dataset."""
+        limit = _INT64_MAX if num_features is None else num_features
+        indptr = np.array([0, self.indices.size])
+        _check_arrays(indptr, self.indices, self.values, np.zeros(1, np.int64), limit, 2)
 
     def to_dense(self, num_features: int) -> np.ndarray:
         out = np.zeros(num_features)
@@ -90,61 +92,107 @@ class SparseVector:
         return cls(idx, dense[idx])
 
 
-@dataclass
-class SparseDataset:
-    """An immutable-by-convention labeled sparse dataset.
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
-    ``rows`` pairs each SparseVector with its 0-based label.
+
+def _fault(indptr, indices, values, labels, num_features, num_classes) -> tuple[int, str] | None:
+    """(row, problem) for the first row breaking the first broken rule, or None.
+
+    ``indptr`` must already frame ``labels.size`` rows over the entries.
+    """
+    row = np.repeat(np.arange(labels.size), np.diff(indptr))
+    same_row = row[1:] == row[:-1]
+    checks = (
+        (row[(indices < 0) | (indices >= num_features)],
+         f"feature index out of range for {num_features} features"),
+        (row[1:][same_row & (indices[1:] == indices[:-1])], "duplicate feature index"),
+        (row[1:][same_row & (indices[1:] < indices[:-1])],
+         "feature indices not strictly increasing"),
+        (row[~np.isfinite(values)], "non-finite feature value"),
+        (np.flatnonzero(labels < 0), "negative label"),
+        (np.flatnonzero(labels >= num_classes), f"label exceeds the class count {num_classes}"),
+    )
+    return next(((int(rows[0]), problem) for rows, problem in checks if rows.size), None)
+
+
+def _check_arrays(indptr, indices, values, labels, num_features, num_classes) -> None:
+    """Raise ValueError, naming the first bad row, unless the arrays form a
+    labeled CSR dataset of the given dimensions."""
+    if num_classes < 2 or num_features < 1:
+        raise ValueError(
+            f"need >= 2 classes and >= 1 feature, got {num_classes} and {num_features}"
+        )
+    if any(a.ndim != 1 for a in (indptr, indices, values, labels)):
+        raise ValueError("indptr, indices, values and labels must be 1-D")
+    if any(a.dtype.kind not in "iu" for a in (indptr, indices, labels)):
+        raise ValueError("indptr, indices and labels must hold integers")
+    if (
+        indptr.size != labels.size + 1
+        or indptr[0] != 0
+        or indptr[-1] != indices.size
+        or values.size != indices.size
+        or np.any(indptr[1:] < indptr[:-1])
+    ):
+        raise ValueError(
+            f"indptr does not frame {labels.size} rows over {indices.size} entries "
+            f"({values.size} values)"
+        )
+    fault = _fault(indptr, indices, values, labels, num_features, num_classes)
+    if fault is not None:
+        raise ValueError(f"row {fault[0]}: {fault[1]}")
+
+
+class SparseDataset:
+    """A labeled sparse dataset: one read-only CSR matrix and 0-based labels.
+
+    The arrays are checked and frozen here; ``to_csr`` and ``labels`` hand
+    out the stored objects without copying.
     """
 
-    rows: list[tuple[SparseVector, int]]
-    num_features: int
-    num_classes: int
-    name: str = ""
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def labels(self) -> np.ndarray:
-        return np.array([y for _, y in self.rows], dtype=np.int64)
-
-    def validate(self) -> None:
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.num_features < 1:
-            raise ValueError(f"num_features must be >= 1, got {self.num_features}")
-        for i, (x, y) in enumerate(self.rows):
-            if not 0 <= y < self.num_classes:
-                raise ValueError(f"row {i}: label {y} out of range")
-            try:
-                x.validate(self.num_features)
-            except ValueError as exc:
-                raise ValueError(f"row {i}: {exc}") from None
-
-    def to_csr(self):
-        """Features as a scipy CSR matrix plus the label vector."""
+    def __init__(
+        self, indptr, indices, values, labels, num_features: int, num_classes: int, name: str = ""
+    ):
         from scipy.sparse import csr_matrix
 
-        indptr = np.zeros(len(self.rows) + 1, dtype=np.int64)
-        for i, (x, _) in enumerate(self.rows):
-            indptr[i + 1] = indptr[i] + x.nnz
-        indices = np.concatenate([x.indices for x, _ in self.rows]) if self.rows else np.zeros(0, dtype=np.int64)
-        data = np.concatenate([x.values for x, _ in self.rows]) if self.rows else np.zeros(0)
-        mat = csr_matrix(
-            (data, indices, indptr), shape=(len(self.rows), self.num_features)
+        indptr, indices, labels = np.asarray(indptr), np.asarray(indices), np.asarray(labels)
+        values = np.asarray(values, dtype=np.float64)
+        _check_arrays(indptr, indices, values, labels, num_features, num_classes)
+        self.num_features = int(num_features)
+        self.num_classes = int(num_classes)
+        self.name = name
+        mat = csr_matrix((values, indices, indptr), shape=(labels.size, self.num_features))
+        mat.indptr, mat.indices, mat.data = map(_frozen, (mat.indptr, mat.indices, mat.data))
+        self._csr = mat
+        self._labels = _frozen(labels.astype(np.int64, copy=False))
+
+    def __len__(self) -> int:
+        return int(self._labels.size)
+
+    def labels(self) -> np.ndarray:
+        return self._labels
+
+    def validate(self) -> None:
+        mat = self._csr
+        _check_arrays(
+            mat.indptr, mat.indices, mat.data, self._labels, self.num_features, self.num_classes
         )
-        return mat, self.labels()
+
+    def to_csr(self):
+        """Features as a scipy CSR matrix plus the label vector (both stored)."""
+        return self._csr, self._labels
 
     @classmethod
     def from_dense(
         cls, features, labels, num_classes: int, name: str = ""
     ) -> "SparseDataset":
-        features = np.asarray(features, dtype=np.float64)
-        rows = [
-            (SparseVector.from_dense(features[i]), int(labels[i]))
-            for i in range(features.shape[0])
-        ]
-        return cls(rows, int(features.shape[1]), int(num_classes), name)
+        from scipy.sparse import csr_matrix
+
+        mat = csr_matrix(np.asarray(features, dtype=np.float64))
+        return cls(mat.indptr, mat.indices, mat.data, labels, mat.shape[1], num_classes, name)
 
 
 @dataclass
@@ -167,71 +215,117 @@ def _sidecar(path: str) -> dict:
     return meta
 
 
-def _parse_features(tokens: list[str], lineno: int) -> SparseVector:
-    idx = np.empty(len(tokens), dtype=np.int64)
-    val = np.empty(len(tokens), dtype=np.float64)
-    prev = 0  # indices are 1-based on disk, so 0 sits below every valid index
-    for j, tok in enumerate(tokens):
-        part = tok.partition(":")
-        if part[1] != ":":
-            raise DatasetFormatError(
-                f"line {lineno}: expected idx:val pair, got {tok!r}"
-            )
+def _label(field: str, lineno: int, multilabel: bool) -> int | None:
+    """0-based label from a line's first token.
+
+    A multilabel field is a comma-separated list whose first entry counts;
+    None marks a multilabel line with no label field (it starts with a pair).
+    """
+    if ":" in field:
+        if multilabel:
+            return None
+        raise DatasetFormatError(f"line {lineno}: missing label field")
+    text = field
+    if multilabel:
+        text, *rest = field.split(",")
+        if "" in (text, *rest):
+            raise DatasetFormatError(f"line {lineno}: malformed label list {field!r}")
+    try:
+        label = int(text)
+    except ValueError:
+        raise DatasetFormatError(f"line {lineno}: cannot parse label {field!r}") from None
+    if not 1 <= label <= _INT64_MAX:
+        raise DatasetFormatError(f"line {lineno}: label {label} out of range")
+    return label - 1
+
+
+def _convert(pairs: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and values of ``idx:val`` tokens, as written; raises
+    ValueError or OverflowError when a token does not convert."""
+    parts = list(map(str.partition, pairs, repeat(":")))
+    idx = np.fromiter(map(int, map(itemgetter(0), parts)), np.int64, len(parts))
+    val = np.fromiter(map(float, map(itemgetter(2), parts)), np.float64, len(parts))
+    return idx, val
+
+
+def _converts(pair: str) -> bool:
+    try:
+        _convert([pair])
+    except (ValueError, OverflowError):
+        return False
+    return True
+
+
+def _load(path: str, multilabel: bool, num_classes: int | None, num_features: int | None):
+    """Parse a sparse text file into ``(dataset, number of unlabeled lines)``.
+
+    The line parser shared by both loaders. Lines are split one at a time
+    and their labels read; the idx:val tokens of the kept lines are
+    collected and converted in passes of ``_PAIRS_PER_PASS`` tokens, each
+    appending to flat index and value arrays. Only when a pass fails are
+    its tokens tried one by one, to name the line of the first bad one.
+    """
+    labels: list[int] = []
+    linenos: list[int] = []
+    counts: list[int] = []
+    pairs: list[str] = []
+    indices: list[np.ndarray] = []
+    values: list[np.ndarray] = []
+    dropped = 0
+
+    def convert() -> None:
         try:
-            i = int(part[0])
-            v = float(part[2])
-        except ValueError:
+            idx, val = _convert(pairs)
+        except (ValueError, OverflowError):
+            bad = list(map(_converts, pairs)).index(False)
+            pos = sum(map(len, values)) + bad
+            row = int(np.searchsorted(np.cumsum(counts), pos, side="right"))
             raise DatasetFormatError(
-                f"line {lineno}: cannot parse idx:val pair {tok!r}"
+                f"line {linenos[row]}: cannot parse idx:val pair {pairs[bad]!r}"
             ) from None
-        if i < 1:
-            raise DatasetFormatError(
-                f"line {lineno}: feature index {i} must be >= 1"
-            )
-        if i == prev:
-            raise DatasetFormatError(f"line {lineno}: duplicate feature index {i}")
-        if i < prev:
-            raise DatasetFormatError(
-                f"line {lineno}: feature indices must be strictly increasing "
-                f"({i} after {prev})"
-            )
-        if not np.isfinite(v):
-            raise DatasetFormatError(f"line {lineno}: non-finite value in {tok!r}")
-        idx[j] = i - 1
-        val[j] = v
-        prev = i
-    return SparseVector(idx, val)
+        indices.append(idx - 1)
+        values.append(val)
+        pairs.clear()
 
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            tokens = line.split()
+            if not tokens:
+                continue
+            label = _label(tokens[0], lineno, multilabel)
+            if label is None:
+                dropped += 1
+                continue
+            labels.append(label)
+            linenos.append(lineno)
+            counts.append(len(tokens) - 1)
+            pairs += tokens[1:]
+            if len(pairs) >= _PAIRS_PER_PASS:
+                convert()
+    if not labels:
+        unlabeled = f" ({dropped} lines without a label)" if dropped else ""
+        raise DatasetFormatError(f"{path}: no instances found{unlabeled}")
+    convert()
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    indices, values = np.concatenate(indices), np.concatenate(values)
+    y = np.array(labels, dtype=np.int64)
 
-def _finalize(
-    rows: list[tuple[SparseVector, int]],
-    path: str,
-    name: str,
-    num_classes: int | None,
-    num_features: int | None,
-) -> SparseDataset:
     meta = _sidecar(path)
     if num_classes is None:
-        num_classes = int(meta["K"]) if "K" in meta else 0
+        num_classes = int(meta.get("K", 0))
     if num_features is None:
-        num_features = int(meta["D"]) if "D" in meta else 0
-    max_label = max((y for _, y in rows), default=-1)
-    max_feat = max((int(x.indices[-1]) for x, _ in rows if x.nnz), default=-1)
-    if num_classes == 0:
-        num_classes = max_label + 1
-    if num_features == 0:
-        num_features = max_feat + 1
-    if max_label >= num_classes:
-        raise DatasetFormatError(
-            f"label {max_label + 1} exceeds declared class count {num_classes}"
-        )
-    if max_feat >= num_features:
-        raise DatasetFormatError(
-            f"feature index {max_feat + 1} exceeds declared dimension {num_features}"
-        )
-    ds = SparseDataset(rows, max(num_features, 1), max(num_classes, 2), name)
-    ds.validate()
-    return ds
+        num_features = int(meta.get("D", 0))
+    num_classes = num_classes or int(y.max()) + 1
+    num_features = num_features or int(indices.max(initial=-1)) + 1
+    fault = _fault(indptr, indices, values, y, num_features, num_classes)
+    if fault is not None:
+        raise DatasetFormatError(f"line {linenos[fault[0]]}: {fault[1]}")
+    dataset = SparseDataset(
+        indptr, indices, values, y, max(num_features, 1), max(num_classes, 2),
+        os.path.basename(path),
+    )
+    return dataset, dropped
 
 
 def load_sparse(
@@ -248,29 +342,7 @@ def load_sparse(
     """
     if format != "libsvm_like":
         raise ValueError(f"unknown format {format!r}")
-    rows: list[tuple[SparseVector, int]] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            if ":" in tokens[0]:
-                raise DatasetFormatError(f"line {lineno}: missing label field")
-            try:
-                label = int(tokens[0])
-            except ValueError:
-                raise DatasetFormatError(
-                    f"line {lineno}: cannot parse label {tokens[0]!r}"
-                ) from None
-            if label < 1:
-                raise DatasetFormatError(
-                    f"line {lineno}: label {label} must be >= 1"
-                )
-            x = _parse_features(tokens[1:], lineno)
-            rows.append((x, label - 1))
-    if not rows:
-        raise DatasetFormatError(f"{path}: no instances found")
-    return _finalize(rows, path, os.path.basename(path), num_classes, num_features)
+    return _load(path, False, num_classes, num_features)[0]
 
 
 def write_sparse(dataset: SparseDataset, path: str, sidecar: bool = False) -> None:
@@ -280,13 +352,12 @@ def write_sparse(dataset: SparseDataset, path: str, sidecar: bool = False) -> No
     With ``sidecar=True`` a ``<path>.meta.json`` pinning K and D is written
     alongside (otherwise a reload infers both as observed maxima).
     """
+    mat, labels = dataset.to_csr()
+    pairs = list(map("{}:{!r}".format, (mat.indices + 1).tolist(), mat.data.tolist()))
+    bounds = zip(mat.indptr[:-1].tolist(), mat.indptr[1:].tolist(), (labels + 1).tolist())
     with open(path, "w") as fh:
-        for x, y in dataset.rows:
-            parts = [str(y + 1)]
-            parts.extend(
-                f"{int(i) + 1}:{float(v)!r}" for i, v in zip(x.indices, x.values)
-            )
-            fh.write(" ".join(parts) + "\n")
+        for start, end, label in bounds:
+            fh.write(" ".join([str(label), *pairs[start:end]]) + "\n")
     if sidecar:
         with open(path + ".meta.json", "w") as fh:
             json.dump({"K": dataset.num_classes, "D": dataset.num_features}, fh)
@@ -305,47 +376,21 @@ def reduce_multilabel(
     rather than rejected. Already-single-label files pass through unchanged,
     so the reduction is idempotent.
     """
-    rows: list[tuple[SparseVector, int]] = []
-    dropped = 0
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            if ":" in tokens[0]:
-                # no label field: the row is unlabeled in this reduction
-                dropped += 1
-                continue
-            label_tokens = tokens[0].split(",")
-            if any(t == "" for t in label_tokens):
-                raise DatasetFormatError(
-                    f"line {lineno}: malformed label list {tokens[0]!r}"
-                )
-            try:
-                first = int(label_tokens[0])
-            except ValueError:
-                raise DatasetFormatError(
-                    f"line {lineno}: cannot parse label list {tokens[0]!r}"
-                ) from None
-            if first < 1:
-                raise DatasetFormatError(
-                    f"line {lineno}: label {first} must be >= 1"
-                )
-            x = _parse_features(tokens[1:], lineno)
-            rows.append((x, first - 1))
-    if not rows:
-        raise DatasetFormatError(f"{path}: no labeled instances found")
-    ds = _finalize(rows, path, os.path.basename(path), num_classes, num_features)
-    return ReduceReport(dataset=ds, num_kept=len(rows), num_dropped=dropped)
+    dataset, dropped = _load(path, True, num_classes, num_features)
+    return ReduceReport(dataset=dataset, num_kept=len(dataset), num_dropped=dropped)
 
 
 def unify_pair(train: SparseDataset, test: SparseDataset) -> tuple[SparseDataset, SparseDataset]:
-    """Give a train/test pair one shared K and D (the maxima of the two)."""
+    """Give a train/test pair one shared K and D (the maxima of the two).
+
+    The results share the inputs' arrays; nothing is copied.
+    """
     k = max(train.num_classes, test.num_classes)
     d = max(train.num_features, test.num_features)
     out = []
     for ds in (train, test):
-        out.append(SparseDataset(ds.rows, d, k, ds.name))
+        mat, labels = ds.to_csr()
+        out.append(SparseDataset(mat.indptr, mat.indices, mat.data, labels, d, k, ds.name))
     return out[0], out[1]
 
 
@@ -355,20 +400,21 @@ def gen_toy_5class(n: int, seed: int) -> SparseDataset:
     Class means sit on a circle of radius 3 at angles 2*pi*k/5, unit
     covariance, classes as balanced as n allows (n % 5 spilled over the
     first classes). Geometry is an artifact choice, fixed for
-    reproducibility. Deterministic given seed.
+    reproducibility. Deterministic given seed. Every row stores both
+    coordinates.
     """
     if n < 5:
         raise ValueError(f"need n >= 5, got {n}")
     rng = substream(seed, "toy-data")
     per = [n // 5 + (1 if k < n % 5 else 0) for k in range(5)]
-    rows: list[tuple[SparseVector, int]] = []
+    points = []
     for k, count in enumerate(per):
         angle = 2.0 * np.pi * k / 5.0
         mean = np.array([3.0 * np.cos(angle), 3.0 * np.sin(angle)])
-        pts = rng.normal(size=(count, 2)) + mean
-        for p in pts:
-            rows.append((SparseVector(np.array([0, 1]), p.copy()), k))
-    return SparseDataset(rows, 2, 5, f"toy5(n={n},seed={seed})")
+        points.append(rng.normal(size=(count, 2)) + mean)
+    indptr, indices = np.arange(0, 2 * n + 1, 2), np.tile([0, 1], n)
+    values, labels = np.concatenate(points).ravel(), np.repeat(np.arange(5), per)
+    return SparseDataset(indptr, indices, values, labels, 2, 5, f"toy5(n={n},seed={seed})")
 
 
 def gen_powerlaw_categorical(
@@ -379,9 +425,9 @@ def gen_powerlaw_categorical(
     Returns (labels, true_p); labels are 0-based. Deterministic given seed.
     """
     if num_classes < 2:
-        raise ValueError(f"need num_classes >= 2, got {num_classes}")
+        raise ConfigError(f"need num_classes >= 2, got {num_classes}")
     if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+        raise ConfigError(f"need n >= 1, got {n}")
     rng = substream(seed, "powerlaw")
     u = rng.uniform(size=num_classes)
     p = u**2

@@ -60,17 +60,17 @@ class CountVector:
     def __post_init__(self):
         arr = np.asarray(self.counts)
         if arr.ndim != 1:
-            raise ValueError(f"counts must be 1-D, got shape {arr.shape}")
+            raise ConfigError(f"counts must be 1-D, got shape {arr.shape}")
         if arr.size < 2:
-            raise ValueError(f"need at least 2 classes, got {arr.size}")
+            raise ConfigError(f"need at least 2 classes, got {arr.size}")
         if not np.issubdtype(arr.dtype, np.integer):
             if not np.all(arr == np.floor(arr)):
-                raise ValueError("counts must be integers")
+                raise ConfigError("counts must be integers")
         arr = arr.astype(np.int64)
         if np.any(arr < 0):
-            raise ValueError("counts must be non-negative")
+            raise ConfigError("counts must be non-negative")
         if arr.sum() < 1:
-            raise ValueError("at least one observation is required")
+            raise ConfigError("at least one observation is required")
         object.__setattr__(self, "counts", arr)
 
     @property
@@ -85,7 +85,7 @@ class CountVector:
     def from_labels(cls, labels, num_classes: int) -> "CountVector":
         labels = np.asarray(labels)
         if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-            raise ValueError("labels out of range")
+            raise ConfigError("labels out of range")
         return cls(np.bincount(labels, minlength=num_classes))
 
 

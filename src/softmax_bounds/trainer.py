@@ -49,7 +49,6 @@ from softmax_bounds.rng import substream
 __all__ = [
     "TrainTrace",
     "SparseDelta",
-    "sample_remaining",
     "stochastic_gradient",
     "train",
     "fit_full_batch",
@@ -131,45 +130,28 @@ class SparseDelta:
         return grad_w, grad_b
 
 
-def sample_remaining(num_classes: int, label: int, num_sampled: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw distinct classes uniformly from the complement of ``label``.
-
-    Returns a sorted int64 array of ``num_sampled`` distinct classes, none
-    equal to ``label``. Every non-label class is included with probability
-    num_sampled / (num_classes - 1).
-    """
-    if not 0 <= label < num_classes:
-        raise ConfigError(f"label {label} out of range for {num_classes} classes")
-    picked = sample_rival_classes(
-        rng,
-        np.array([label], dtype=np.int64),
-        num_classes=num_classes,
-        num_sampled=num_sampled,
-    )[0]
-    return np.sort(picked)
-
-
 def _batch_terms(
     model_scores,
-    batch: list[tuple[SparseVector, int]],
+    batch: list[tuple[np.ndarray, np.ndarray, int]],
     rivals: np.ndarray,
     scale_factor: float,
 ):
     """Shared core of the stochastic step: coefficients and bound estimate.
 
-    ``model_scores(vec, rows)`` must return the score of each row class on
-    the instance. Returns one (vec, label, sampled, coeff_label,
-    coeff_rivals) tuple per instance plus the mean sampled bound over the
-    batch.
+    ``batch`` holds one (indices, values, label) triple per instance.
+    ``model_scores(indices, values, rows)`` must return the score of each
+    row class on the instance. Returns one (indices, values, label,
+    sampled, coeff_label, coeff_rivals) tuple per instance plus the mean
+    sampled bound over the batch.
     """
     terms = []
     total_bound = 0.0
-    for i, (vec, label) in enumerate(batch):
+    for i, (idx, vals, label) in enumerate(batch):
         sampled = rivals[i]
         joint = np.concatenate(([label], sampled))
         with np.errstate(over="ignore"):
             # overflow is reported as NumericalError below, not as a warning
-            scores = model_scores(vec, joint)
+            scores = model_scores(idx, vals, joint)
         if not np.all(np.isfinite(scores)):
             raise NumericalError(
                 f"non-finite score encountered (instance {i}, classes {joint.tolist()})"
@@ -180,7 +162,7 @@ def _batch_terms(
         sig = _sigmoid_impl(-margins)
         coeff_label = scale_factor * float(np.sum(sig))
         coeff_rivals = -scale_factor * sig
-        terms.append((vec, label, sampled, coeff_label, coeff_rivals))
+        terms.append((idx, vals, label, sampled, coeff_label, coeff_rivals))
     return terms, total_bound / len(batch)
 
 
@@ -209,17 +191,18 @@ def stochastic_gradient(
     rivals = sample_rival_classes(rng, labels, num_classes=num_classes, num_sampled=num_sampled)
     scale_factor = (num_classes - 1) / num_sampled
 
-    def scores_on(vec: SparseVector, rows: np.ndarray) -> np.ndarray:
-        if vec.nnz == 0:
+    def scores_on(idx: np.ndarray, vals: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        if idx.size == 0:
             return model.biases[rows].copy()
-        return model.biases[rows] + model.weights[np.ix_(rows, vec.indices)] @ vec.values
+        return model.biases[rows] + model.weights[np.ix_(rows, idx)] @ vals
 
-    terms, bound = _batch_terms(scores_on, batch, rivals, scale_factor)
+    triples = [(vec.indices, vec.values, label) for vec, label in batch]
+    terms, bound = _batch_terms(scores_on, triples, rivals, scale_factor)
     delta = SparseDelta()
-    for vec, label, sampled, coeff_label, coeff_rivals in terms:
-        delta.add(label, vec.indices, vec.values, coeff_label)
+    for idx, vals, label, sampled, coeff_label, coeff_rivals in terms:
+        delta.add(label, idx, vals, coeff_label)
         for m, c in zip(sampled, coeff_rivals):
-            delta.add(int(m), vec.indices, vec.values, float(c))
+            delta.add(int(m), idx, vals, float(c))
     return delta, bound
 
 
@@ -252,10 +235,11 @@ def train(
             f"{data.num_classes} x {data.num_features}"
         )
     config.validate(num_classes=model.num_classes)
-    n = len(data.rows)
+    n = len(data)
     if n == 0:
         raise ConfigError("dataset is empty")
-    labels_all = data.labels()
+    mat, labels_all = data.to_csr()
+    indptr, feat_idx, feat_val = mat.indptr, mat.indices, mat.data
 
     shuffle_rng = substream(config.seed, "shuffle")
     class_rng = substream(config.seed, "classes")
@@ -301,12 +285,18 @@ def train(
             touched = np.unique(np.concatenate((batch_labels, rivals.ravel())))
             materialize_rows(touched)
 
-            batch = [(data.rows[i][0], int(labels_all[i])) for i in chosen]
+            # each instance is a slice of the dataset's CSR arrays
+            batch = [
+                (feat_idx[a:b], feat_val[a:b], label)
+                for a, b, label in zip(
+                    indptr[chosen].tolist(), indptr[chosen + 1].tolist(), batch_labels.tolist()
+                )
+            ]
 
-            def scores_on(vec: SparseVector, rows: np.ndarray) -> np.ndarray:
-                if vec.nnz == 0:
+            def scores_on(idx: np.ndarray, vals: np.ndarray, rows: np.ndarray) -> np.ndarray:
+                if idx.size == 0:
                     return biases[rows].copy()
-                raw = values[np.ix_(rows, vec.indices)] @ vec.values
+                raw = values[np.ix_(rows, idx)] @ vals
                 return biases[rows] + scale[rows] * raw
 
             terms, bound = _batch_terms(scores_on, batch, rivals, scale_factor)
@@ -320,17 +310,17 @@ def train(
                 scale[touched] *= decay
                 row_log[touched] = cum_log
 
-            for vec, label, sampled, coeff_label, coeff_rivals in terms:
-                if vec.nnz == 0:
+            for idx, vals, label, sampled, coeff_label, coeff_rivals in terms:
+                if idx.size == 0:
                     biases[label] += lr * coeff_label
                     for m, c in zip(sampled, coeff_rivals):
                         biases[int(m)] += lr * float(c)
                     continue
-                values[label, vec.indices] += (lr * coeff_label / scale[label]) * vec.values
+                values[label, idx] += (lr * coeff_label / scale[label]) * vals
                 biases[label] += lr * coeff_label
                 for m, c in zip(sampled, coeff_rivals):
                     mi = int(m)
-                    values[mi, vec.indices] += (lr * float(c) / scale[mi]) * vec.values
+                    values[mi, idx] += (lr * float(c) / scale[mi]) * vals
                     biases[mi] += lr * float(c)
 
             small = touched[np.abs(scale[touched]) < _RENORM_THRESHOLD]
@@ -358,16 +348,59 @@ def train(
     return final, trace
 
 
-def _flatten(model: LinearModel) -> np.ndarray:
-    return np.concatenate((model.weights.ravel(), model.biases))
-
-
 def _unflatten(x: np.ndarray, num_classes: int, num_features: int) -> LinearModel:
     split = num_classes * num_features
     return LinearModel(
         weights=x[:split].reshape(num_classes, num_features).copy(),
         biases=x[split:].copy(),
     )
+
+
+def _lbfgs(value_and_grad, model: LinearModel, settings: OptimizerSettings):
+    """Maximize ``value_and_grad(model) -> (value, (grad_w, grad_b))`` with L-BFGS.
+
+    Returns the fitted model and the objective trace [(iteration, value)],
+    one entry per iteration plus one at the solution. Raises
+    ConvergenceError if the gradient inf-norm at the final iterate exceeds
+    ``settings.grad_tol``.
+    """
+    from scipy.optimize import minimize
+
+    K, D = model.num_classes, model.num_features
+    trace: list[tuple[int, float]] = []
+    last = {"f": None}
+
+    def negated(x: np.ndarray):
+        val, (gw, gb) = value_and_grad(_unflatten(x, K, D))
+        last["f"] = val
+        return -val, -np.concatenate((gw.ravel(), gb))
+
+    def record(xk: np.ndarray) -> None:
+        trace.append((len(trace), float(last["f"])))
+
+    res = minimize(
+        negated,
+        np.concatenate((model.weights.ravel(), model.biases)),
+        jac=True,
+        method="L-BFGS-B",
+        callback=record,
+        options={
+            "maxiter": settings.max_iter,
+            "maxfun": settings.max_iter * 4,
+            "gtol": settings.grad_tol * 0.5,
+            "ftol": 1e-16,
+        },
+    )
+    fitted = _unflatten(res.x, K, D)
+    val, (gw, gb) = value_and_grad(fitted)
+    gnorm = max(np.abs(gw).max(), np.abs(gb).max())
+    if gnorm > settings.grad_tol:
+        raise ConvergenceError(
+            f"full-batch fit stalled: gradient inf-norm {gnorm:.3e} exceeds "
+            f"{settings.grad_tol:.3e} after {res.nit} iterations ({res.message})"
+        )
+    trace.append((len(trace), val))
+    return fitted, trace
 
 
 def fit_full_batch(
@@ -388,8 +421,6 @@ def fit_full_batch(
     Raises ConvergenceError if the gradient norm at the final iterate
     exceeds ``settings.grad_tol``.
     """
-    from scipy.optimize import minimize
-
     if settings is None:
         settings = OptimizerSettings(grad_tol=1e-6)
     settings.validate()
@@ -403,108 +434,23 @@ def fit_full_batch(
             f"{data.num_classes} x {data.num_features}"
         )
 
-    K, D = model.num_classes, model.num_features
-    mat = data.to_csr()
-    labels = data.labels()
-    trace: list[tuple[int, float]] = []
-
     if objective.kind == KIND_BOUCHARD:
-        return _fit_bouchard(model, data, objective, settings, trace)
+        # The joint objective is concave in (weights, alphas) and the inner
+        # alpha maximum is unique, so the profile g(w) = max_a f(w, a) is
+        # concave and, by the envelope property, its gradient is the partial
+        # weight gradient at the maximizing alphas. Each evaluation therefore
+        # re-solves the alphas exactly and one quasi-Newton run over the
+        # weights finds the joint optimum; plain alternation would crawl here
+        # because the two blocks are strongly coupled.
+        def value_and_grad(m: LinearModel):
+            alphas = optimal_alphas(m, data)
+            fixed = Objective(kind=KIND_BOUCHARD, lam=objective.lam, per_instance_alpha=alphas)
+            return bouchard_loglik(m, data, fixed), full_gradient(m, data, fixed)
 
-    value_fn = exact_loglik if objective.kind == KIND_EXACT else ove_loglik
-    last = {"x": None, "f": None}
+    else:
+        value_fn = exact_loglik if objective.kind == KIND_EXACT else ove_loglik
 
-    def negated(x: np.ndarray):
-        m = _unflatten(x, K, D)
-        val = value_fn(m, data, lam=objective.lam)
-        gw, gb = full_gradient(m, data, objective)
-        last["x"], last["f"] = x.copy(), val
-        return -val, -np.concatenate((gw.ravel(), gb))
+        def value_and_grad(m: LinearModel):
+            return value_fn(m, data, lam=objective.lam), full_gradient(m, data, objective)
 
-    def record(xk: np.ndarray) -> None:
-        trace.append((len(trace), float(last["f"])))
-
-    res = minimize(
-        negated,
-        _flatten(model),
-        jac=True,
-        method="L-BFGS-B",
-        callback=record,
-        options={
-            "maxiter": settings.max_iter,
-            "maxfun": settings.max_iter * 4,
-            "gtol": settings.grad_tol * 0.5,
-            "ftol": 1e-16,
-        },
-    )
-    fitted = _unflatten(res.x, K, D)
-    gw, gb = full_gradient(fitted, data, objective)
-    gnorm = max(np.abs(gw).max(), np.abs(gb).max())
-    if gnorm > settings.grad_tol:
-        raise ConvergenceError(
-            f"full-batch fit stalled: gradient inf-norm {gnorm:.3e} exceeds "
-            f"{settings.grad_tol:.3e} after {res.nit} iterations ({res.message})"
-        )
-    trace.append((len(trace), value_fn(fitted, data, lam=objective.lam)))
-    return fitted, trace
-
-
-def _fit_bouchard(
-    model: LinearModel,
-    data: SparseDataset,
-    objective: Objective,
-    settings: OptimizerSettings,
-    trace: list[tuple[int, float]],
-) -> tuple[LinearModel, list[tuple[int, float]]]:
-    """Maximize the alpha-profiled Bouchard objective over the weights.
-
-    The joint objective is concave in (weights, alphas) and the inner
-    alpha maximum is unique, so the profile g(w) = max_a f(w, a) is
-    concave and, by the envelope property, its gradient is the partial
-    weight gradient evaluated at the maximizing alphas. Each evaluation
-    therefore re-solves the alphas exactly and one quasi-Newton run over
-    the weights finds the joint optimum; plain alternation would crawl
-    here because the two blocks are strongly coupled.
-    """
-    from scipy.optimize import minimize
-
-    K, D = model.num_classes, model.num_features
-    last = {"f": None}
-
-    def negated(x: np.ndarray):
-        m = _unflatten(x, K, D)
-        alphas = optimal_alphas(m, data)
-        fixed = Objective(kind=KIND_BOUCHARD, lam=objective.lam, per_instance_alpha=alphas)
-        v = bouchard_loglik(m, data, fixed)
-        w, b = full_gradient(m, data, fixed)
-        last["f"] = v
-        return -v, -np.concatenate((w.ravel(), b))
-
-    def record(xk: np.ndarray) -> None:
-        trace.append((len(trace), float(last["f"])))
-
-    res = minimize(
-        negated,
-        _flatten(model),
-        jac=True,
-        method="L-BFGS-B",
-        callback=record,
-        options={
-            "maxiter": settings.max_iter,
-            "maxfun": settings.max_iter * 4,
-            "gtol": settings.grad_tol * 0.5,
-            "ftol": 1e-16,
-        },
-    )
-    fitted = _unflatten(res.x, K, D)
-    alphas = optimal_alphas(fitted, data)
-    fixed = Objective(kind=KIND_BOUCHARD, lam=objective.lam, per_instance_alpha=alphas)
-    gw, gb = full_gradient(fitted, data, fixed)
-    gnorm = max(np.abs(gw).max(), np.abs(gb).max())
-    if gnorm > settings.grad_tol:
-        raise ConvergenceError(
-            f"variational fit stalled: gradient inf-norm {gnorm:.3e} exceeds "
-            f"{settings.grad_tol:.3e} after {res.nit} iterations ({res.message})"
-        )
-    trace.append((len(trace), bouchard_loglik(fitted, data, fixed)))
-    return fitted, trace
+    return _lbfgs(value_and_grad, model, settings)

@@ -27,7 +27,6 @@ from softmax_bounds.bounds import (
 from softmax_bounds.config import OptimizerSettings, TrainConfig
 from softmax_bounds.datasets import (
     SparseDataset,
-    SparseVector,
     gen_powerlaw_categorical,
     gen_toy_5class,
 )
@@ -54,6 +53,8 @@ from softmax_bounds.nonparam import (
 from softmax_bounds.rng import substream
 from softmax_bounds.trainer import fit_full_batch, stochastic_gradient, train
 
+from helpers import dense_dataset, rows_of
+
 
 def report(n: int, detail: str) -> None:
     print(f"ACCEPTANCE {n}: PASS - {detail}")
@@ -61,17 +62,6 @@ def report(n: int, detail: str) -> None:
 
 def report_skip(n: int, detail: str) -> None:
     print(f"ACCEPTANCE {n}: SKIP - {detail}")
-
-
-def dense_dataset(rng, n, num_classes, num_features, density=0.6):
-    raw = rng.normal(size=(n, num_features))
-    raw *= rng.random(size=raw.shape) < density
-    labels = rng.integers(0, num_classes, size=n)
-    return SparseDataset(
-        rows=[(SparseVector.from_dense(raw[i]), int(labels[i])) for i in range(n)],
-        num_classes=num_classes,
-        num_features=num_features,
-    )
 
 
 def test_1_count_ratio_recovery():
@@ -215,10 +205,7 @@ def _mnist_split(directory: str, images_base: str, labels_base: str) -> SparseDa
     images = _read_idx(_find_mnist_file(directory, images_base))
     labels = _read_idx(_find_mnist_file(directory, labels_base))
     flat = images.reshape(len(images), -1).astype(np.float64) / 255.0
-    rows = [
-        (SparseVector.from_dense(flat[i]), int(labels[i])) for i in range(len(labels))
-    ]
-    return SparseDataset(rows=rows, num_classes=10, num_features=flat.shape[1])
+    return SparseDataset.from_dense(flat, labels, 10)
 
 
 def test_5_mnist_benchmarks():
@@ -333,7 +320,7 @@ def test_7_stochastic_gradient_unbiasedness():
     reps = 10_000
     acc_w, acc_b = np.zeros((k, d)), np.zeros(k)
     sq_w, sq_b = np.zeros((k, d)), np.zeros(k)
-    batch = list(data.rows)
+    batch = rows_of(data)
     for _ in range(reps):
         delta, _ = stochastic_gradient(model, batch, 2, draw)
         dw, db = delta.to_dense(k, d)
@@ -414,15 +401,14 @@ def _synthetic_extreme(num_classes, num_features, n):
             break
         noise_idx[bad] = gen.integers(noise_lo, num_features, size=(bad.size, 8))
     noise_val = gen.normal(size=(n, 8))
-    rows = []
-    for i in range(n):
-        order = np.argsort(noise_idx[i])
-        idx = np.concatenate(([2 * y[i], 2 * y[i] + 1], noise_idx[i][order]))
-        val = np.concatenate(([1.0, 1.0], noise_val[i][order]))
-        rows.append((SparseVector(idx.astype(np.int64), val), int(y[i])))
+    order = np.argsort(noise_idx, axis=1)
+    indices = np.hstack(
+        (2 * y[:, None], 2 * y[:, None] + 1, np.take_along_axis(noise_idx, order, axis=1))
+    )
+    values = np.hstack((np.ones((n, 2)), np.take_along_axis(noise_val, order, axis=1)))
     return SparseDataset(
-        rows=rows, num_classes=num_classes, num_features=num_features,
-        name="synthetic-extreme",
+        np.arange(0, 10 * n + 1, 10), indices.ravel(), values.ravel(), y,
+        num_features, num_classes, "synthetic-extreme",
     )
 
 
@@ -435,7 +421,7 @@ def test_9_extreme_scale_sparse_training():
     """
     k, d, n, s = 3000, 50_000, 100_000, 5
     data = _synthetic_extreme(k, d, n)
-    labels = np.array([label for _, label in data.rows], dtype=np.int64)
+    labels = data.labels()
 
     shuffle_replay = substream(11, "shuffle")
     class_replay = substream(11, "classes")

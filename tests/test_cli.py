@@ -163,6 +163,33 @@ class TestEstimate:
         assert cli.main(["estimate", "--method", "exact", "--labels", str(path),
                          "--out", str(tmp_path / "run")]) == 3
 
+    @pytest.mark.parametrize("method", ["exact", "ove-sgd"])
+    def test_label_above_k_is_config_error(self, tmp_path, capsys, method):
+        path = tmp_path / "labels.txt"
+        path.write_text("1\n5\n2\n", encoding="utf-8")
+        rc = cli.main(["estimate", "--method", method, "--labels", str(path),
+                       "--K", "3", "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "error: " in capsys.readouterr().err
+
+    def test_negative_counts_are_config_error(self, tmp_path, capsys):
+        rc = cli.main(["estimate", "--method", "exact", "--counts", "1,-2,3",
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert "error: " in capsys.readouterr().err
+
+    def test_all_zero_counts_are_config_error(self, tmp_path, capsys):
+        rc = cli.main(["estimate", "--method", "exact", "--counts", "0,0",
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert "error: " in capsys.readouterr().err
+
+    def test_gen_single_class_is_config_error(self, tmp_path, capsys):
+        rc = cli.main(["estimate", "--method", "exact", "--gen", "powerlaw",
+                       "--K", "1", "--N", "10", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "error: " in capsys.readouterr().err
+
     def test_missing_label_file(self, tmp_path):
         rc = cli.main(["estimate", "--method", "exact",
                        "--labels", str(tmp_path / "absent.txt"),

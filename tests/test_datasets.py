@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from softmax_bounds import datasets
+from softmax_bounds.config import ConfigError
 from softmax_bounds.datasets import (
     DatasetFormatError,
     ReduceReport,
@@ -46,11 +48,11 @@ class TestLoadSparse:
         p.write_text("3 1:0.5 7:2.0\n")
         ds = load_sparse(str(p))
         assert len(ds) == 1
-        x, y = ds.rows[0]
-        assert y == 2  # 1-based on disk
-        assert x.nnz == 2
-        np.testing.assert_array_equal(x.indices, [0, 6])
-        np.testing.assert_array_equal(x.values, [0.5, 2.0])
+        mat, y = ds.to_csr()
+        assert y.tolist() == [2]  # 1-based on disk
+        np.testing.assert_array_equal(mat.indptr, [0, 2])
+        np.testing.assert_array_equal(mat.indices, [0, 6])
+        np.testing.assert_array_equal(mat.data, [0.5, 2.0])
         assert ds.num_classes == 3
         assert ds.num_features == 7
 
@@ -96,7 +98,7 @@ class TestLoadSparse:
         p = tmp_path / "d.txt"
         p.write_text("1\n2 1:1\n")
         ds = load_sparse(str(p))
-        assert ds.rows[0][0].nnz == 0
+        np.testing.assert_array_equal(ds.to_csr()[0].indptr, [0, 0, 1])
 
     def test_sidecar_overrides(self, tmp_path):
         p = tmp_path / "d.txt"
@@ -128,27 +130,38 @@ class TestLoadSparse:
 
     def test_round_trip_identity(self, tmp_path):
         rng = substream(13, "roundtrip")
-        rows = []
-        for _ in range(60):
+        dense = np.zeros((66, 40))
+        labels = np.zeros(66, dtype=np.int64)
+        for i in range(60):
             nnz = int(rng.integers(0, 9))
             idx = np.sort(rng.choice(40, size=nnz, replace=False))
-            vals = rng.normal(size=nnz)
-            rows.append((SparseVector(idx, vals), int(rng.integers(0, 6))))
+            dense[i, idx] = rng.normal(size=nnz)
+            labels[i] = rng.integers(0, 6)
         # make every class and the last feature appear so inference is exact
-        rows.append((SparseVector(np.array([39]), np.array([1.0])), 5))
-        for k in range(5):
-            rows.append((SparseVector(np.array([0]), np.array([1.0])), k))
-        ds = SparseDataset(rows, 40, 6, "fixture")
+        dense[60, 39], labels[60] = 1.0, 5
+        dense[61:, 0], labels[61:] = 1.0, np.arange(5)
+        ds = SparseDataset.from_dense(dense, labels, 6, "fixture")
         path = str(tmp_path / "rt.txt")
         write_sparse(ds, path)
         back = load_sparse(path)
         assert back.num_classes == ds.num_classes
         assert back.num_features == ds.num_features
         assert len(back) == len(ds)
-        for (x0, y0), (x1, y1) in zip(ds.rows, back.rows):
-            assert y0 == y1
-            np.testing.assert_array_equal(x0.indices, x1.indices)
-            np.testing.assert_array_equal(x0.values, x1.values)  # exact via repr
+        (m0, y0), (m1, y1) = ds.to_csr(), back.to_csr()
+        np.testing.assert_array_equal(y0, y1)
+        np.testing.assert_array_equal(m0.indptr, m1.indptr)
+        np.testing.assert_array_equal(m0.indices, m1.indices)
+        np.testing.assert_array_equal(m0.data, m1.data)  # exact via repr
+
+    def test_zero_nnz_rows_round_trip(self, tmp_path):
+        dense = np.array([[0.0, 0.0, 0.0], [1.5, 0.0, -2.0], [0.0, 0.0, 0.0]])
+        ds = SparseDataset.from_dense(dense, [2, 0, 1], 3)
+        path = str(tmp_path / "zero.txt")
+        write_sparse(ds, path, sidecar=True)
+        mat, y = load_sparse(path).to_csr()
+        np.testing.assert_array_equal(mat.indptr, [0, 0, 2, 2])
+        np.testing.assert_array_equal(mat.toarray(), dense)
+        np.testing.assert_array_equal(y, [2, 0, 1])
 
     @settings(max_examples=300, deadline=None)
     @given(blob=st.text(alphabet="0123456789.:eE+- \n,abz", max_size=200))
@@ -159,16 +172,77 @@ class TestLoadSparse:
             fh.write(blob)
             path = fh.name
         try:
-            ds = load_sparse(path)
-        except DatasetFormatError as exc:
-            msg = str(exc)
-            assert "line" in msg or "no instances" in msg
-        else:
-            ds.validate()
+            # both loaders run the same line parser
+            for load in (load_sparse, lambda p: reduce_multilabel(p).dataset):
+                try:
+                    ds = load(path)
+                except DatasetFormatError as exc:
+                    msg = str(exc)
+                    assert "line" in msg or "no instances" in msg
+                else:
+                    ds.validate()
         finally:
             import os
 
             os.unlink(path)
+
+    @pytest.mark.parametrize(
+        "text, fault",
+        [
+            ("1 1:1\n2 3:1 2:1:5\n", "cannot parse idx:val pair '2:1:5'"),
+            ("1 1:1\n2 3:1 4\n", "cannot parse idx:val pair '4'"),
+            ("1 1:1\n2 99999999999999999999:1\n", "cannot parse"),
+            ("1 1:1\n2 0:1\n", "feature index out of range"),
+            ("1 1:1\n2 3:inf\n", "non-finite"),
+            ("1 1:1\n2 3:1 3:2\n", "duplicate"),
+            ("1 1:1\n99999999999999999999 3:1\n", "label"),
+        ],
+    )
+    def test_faults_name_the_line(self, tmp_path, text, fault):
+        p = tmp_path / "d.txt"
+        p.write_text(text)
+        with pytest.raises(DatasetFormatError, match=f"line 2: {fault}"):
+            load_sparse(str(p))
+
+    def test_conversion_passes_split_anywhere(self, tmp_path, monkeypatch):
+        rng = substream(14, "passes")
+        dense = rng.normal(size=(9, 6)) * (rng.uniform(size=(9, 6)) < 0.5)
+        ds = SparseDataset.from_dense(dense, rng.integers(0, 3, size=9), 3)
+        path = tmp_path / "d.txt"
+        write_sparse(ds, str(path), sidecar=True)
+        whole = load_sparse(str(path))
+        monkeypatch.setattr(datasets, "_PAIRS_PER_PASS", 2)
+        parts = load_sparse(str(path))
+        (m0, y0), (m1, y1) = whole.to_csr(), parts.to_csr()
+        np.testing.assert_array_equal(m0.indptr, m1.indptr)
+        np.testing.assert_array_equal(m0.indices, m1.indices)
+        np.testing.assert_array_equal(m0.data, m1.data)
+        np.testing.assert_array_equal(y0, y1)
+        path.write_text("1 1:1 2:1\n2 1:1 2:1\n\n3 4:1\n3 5:1 6:x\n")
+        with pytest.raises(DatasetFormatError, match="line 5: cannot parse idx:val pair '6:x'"):
+            load_sparse(str(path))
+
+    def test_declared_bounds_name_the_line(self, tmp_path):
+        p = tmp_path / "d.txt"
+        p.write_text("1 1:1\n2 9:1\n")
+        with pytest.raises(DatasetFormatError, match="line 2: feature index out of range"):
+            load_sparse(str(p), num_features=8)
+        with pytest.raises(DatasetFormatError, match="line 2: label exceeds"):
+            load_sparse(str(p), num_classes=1)
+
+
+def csr_arrays(**changes):
+    """A valid two-row CSR fixture, with some arrays replaced."""
+    arrays = dict(
+        indptr=np.array([0, 2, 3]),
+        indices=np.array([0, 3, 1]),
+        values=np.array([1.0, -2.0, 0.5]),
+        labels=np.array([1, 0]),
+        num_features=4,
+        num_classes=3,
+    )
+    arrays.update(changes)
+    return arrays
 
 
 class TestCsr:
@@ -181,13 +255,76 @@ class TestCsr:
         np.testing.assert_array_equal(mat.toarray(), dense)
         np.testing.assert_array_equal(y, labels)
 
+    def test_built_from_arrays(self):
+        ds = SparseDataset(**csr_arrays(), name="fixture")
+        assert len(ds) == 2
+        np.testing.assert_array_equal(
+            ds.to_csr()[0].toarray(), [[1.0, 0.0, 0.0, -2.0], [0.0, 0.5, 0.0, 0.0]]
+        )
+        np.testing.assert_array_equal(ds.labels(), [1, 0])
+
+    def test_stored_arrays_are_read_only(self):
+        ds = SparseDataset(**csr_arrays())
+        mat, y = ds.to_csr()
+        for arr in (mat.indptr, mat.indices, mat.data, y, ds.labels()):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+
+    def test_caller_arrays_stay_writable(self):
+        arrays = csr_arrays()
+        SparseDataset(**arrays)
+        arrays["values"][0] = 7.0
+        arrays["labels"][0] = 2
+
+    def test_to_csr_returns_the_stored_matrix(self):
+        ds = SparseDataset(**csr_arrays())
+        (m1, y1), (m2, y2) = ds.to_csr(), ds.to_csr()
+        assert m1 is m2
+        assert y1 is y2
+        assert ds.labels() is y1
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"indptr": np.array([0, 3, 2])},  # non-monotone indptr
+            {"indptr": np.array([0, 2])},  # fewer rows than labels
+            {"indptr": np.array([1, 2, 3])},  # does not start at 0
+            {"values": np.array([1.0, 2.0])},  # length mismatch
+            {"indices": np.array([3, 0, 1])},  # unsorted within a row
+            {"indices": np.array([2, 2, 1])},  # duplicate within a row
+            {"indices": np.array([-1, 3, 1])},  # negative index
+            {"indices": np.array([0, 4, 1])},  # index out of range
+            {"indices": np.array([0.0, 3.0, 1.0])},  # non-integer indices
+            {"values": np.array([1.0, np.nan, 0.5])},  # non-finite value
+            {"values": np.array([1.0, 0.0, np.inf])},
+            {"labels": np.array([1, 3])},  # label out of range
+            {"labels": np.array([-1, 0])},
+            {"num_classes": 1},
+            {"num_features": 0},
+        ],
+    )
+    def test_validate_rejects_malformed_arrays(self, changes):
+        with pytest.raises(ValueError):
+            SparseDataset(**csr_arrays(**changes))
+
+    def test_rejection_names_the_row(self):
+        with pytest.raises(ValueError, match="row 1: .*out of range"):
+            SparseDataset(**csr_arrays(indices=np.array([0, 3, 9])))
+        with pytest.raises(ValueError, match="row 0: duplicate"):
+            SparseDataset(**csr_arrays(indices=np.array([3, 3, 1])))
+
+    def test_index_order_resets_at_row_boundaries(self):
+        # the second row starts below where the first ended: that is fine
+        ds = SparseDataset(**csr_arrays(indices=np.array([2, 3, 0])))
+        ds.validate()
+
 
 class TestReduceMultilabel:
     def test_keeps_first(self, tmp_path):
         p = tmp_path / "m.txt"
         p.write_text("5,2,9 1:1\n")
         rep = reduce_multilabel(str(p))
-        assert rep.dataset.rows[0][1] == 4  # label 5, 0-based
+        assert rep.dataset.labels().tolist() == [4]  # label 5, 0-based
         assert rep.dataset.num_classes == 5
         assert rep.num_kept == 1
         assert rep.num_dropped == 0
@@ -204,11 +341,11 @@ class TestReduceMultilabel:
         p.write_text("2 1:0.25 3:4.0\n1 2:1.0\n")
         rep = reduce_multilabel(str(p))
         direct = load_sparse(str(p))
-        assert [y for _, y in rep.dataset.rows] == [y for _, y in direct.rows]
+        np.testing.assert_array_equal(rep.dataset.labels(), direct.labels())
         q = tmp_path / "m2.txt"
         write_sparse(rep.dataset, str(q))
         rep2 = reduce_multilabel(str(q))
-        assert [y for _, y in rep2.dataset.rows] == [y for _, y in rep.dataset.rows]
+        np.testing.assert_array_equal(rep2.dataset.labels(), rep.dataset.labels())
         assert rep2.num_dropped == 0
 
     def test_malformed_list(self, tmp_path):
@@ -227,6 +364,18 @@ class TestUnifyPair:
         train, test = unify_pair(load_sparse(str(a)), load_sparse(str(b)))
         assert train.num_classes == test.num_classes == 3
         assert train.num_features == test.num_features == 9
+        assert train.to_csr()[0].shape == (1, 9)
+
+    def test_shares_the_arrays(self):
+        a = SparseDataset(**csr_arrays())
+        b = SparseDataset(**csr_arrays(num_features=6, num_classes=5))
+        ua, ub = unify_pair(a, b)
+        for before, after in ((a, ua), (b, ub)):
+            (m0, y0), (m1, y1) = before.to_csr(), after.to_csr()
+            for x0, x1 in ((m0.indptr, m1.indptr), (m0.indices, m1.indices),
+                           (m0.data, m1.data), (y0, y1)):
+                assert np.shares_memory(x0, x1)
+        assert ua.to_csr()[0].shape == (2, 6)
 
 
 class TestToyGenerator:
@@ -289,6 +438,8 @@ class TestPowerlawGenerator:
 
     def test_validation(self):
         with pytest.raises(ValueError):
+            gen_powerlaw_categorical(1, 10, seed=0)
+        with pytest.raises(ConfigError):
             gen_powerlaw_categorical(1, 10, seed=0)
         with pytest.raises(ValueError):
             gen_powerlaw_categorical(5, 0, seed=0)

@@ -24,6 +24,8 @@ from softmax_bounds.linear_model import (
 )
 from softmax_bounds.rng import substream
 
+from helpers import rows_of
+
 
 def make_data(rng, n, d, k, density=0.5):
     dense = rng.normal(size=(n, d)) * (rng.uniform(size=(n, d)) < density)
@@ -54,7 +56,7 @@ class TestScores:
         f = scores_matrix(m, data)
         expected = dense @ m.weights.T + m.biases
         np.testing.assert_allclose(f, expected, rtol=1e-12, atol=1e-12)
-        for i, (x, _) in enumerate(data.rows):
+        for i, (x, _) in enumerate(rows_of(data)):
             np.testing.assert_allclose(scores(m, x), expected[i], rtol=1e-12, atol=1e-12)
 
     def test_dimension_mismatch(self):
@@ -80,7 +82,7 @@ class TestLogliks:
         # scores [3,1,0], true label the first class in 0-based indexing:
         # log softmax = 3 - LSE([3,1,0]) = -0.16984601955628565 (mpmath, 50 dps)
         m = LinearModel(np.array([[3.0], [1.0], [0.0]]), np.zeros(3))
-        data = SparseDataset([(SparseVector(np.array([0]), np.array([1.0])), 0)], 1, 3)
+        data = SparseDataset.from_dense([[1.0]], [0], 3)
         assert exact_loglik(m, data, 0.0) == pytest.approx(
             -0.16984601955628565, rel=1e-12
         )
@@ -94,7 +96,7 @@ class TestLogliks:
         assert exact_loglik(shifted, data, 0.7) == pytest.approx(base, rel=1e-12)
 
     def test_ove_zero_model_k3(self):
-        data = SparseDataset([(SparseVector(np.array([0]), np.array([1.0])), 1)], 1, 3)
+        data = SparseDataset.from_dense([[1.0]], [1], 3)
         m = LinearModel.zeros(3, 1)
         assert ove_loglik(m, data, 0.0) == pytest.approx(2 * np.log(0.5), rel=1e-12)
 
@@ -123,12 +125,12 @@ class TestLogliks:
         m = make_model(rng, 5, 6)
         data, _, _ = make_data(rng, 12, 6, 5)
         expected = sum(
-            ove_log_bound(scores(m, x), y) for x, y in data.rows
+            ove_log_bound(scores(m, x), y) for x, y in rows_of(data)
         )
         assert ove_loglik(m, data, 0.0) == pytest.approx(expected, rel=1e-12)
 
     def test_bouchard_zero_model(self):
-        data = SparseDataset([(SparseVector(np.array([0]), np.array([1.0])), 0)], 1, 2)
+        data = SparseDataset.from_dense([[1.0]], [0], 2)
         m = LinearModel.zeros(2, 1)
         obj = Objective(KIND_BOUCHARD, 0.0, np.zeros(1))
         assert bouchard_loglik(m, data, obj) == pytest.approx(
@@ -157,13 +159,13 @@ class TestLogliks:
             assert val <= best + 1e-10
 
     def test_alpha_count_mismatch(self):
-        data = SparseDataset([(SparseVector(np.array([0]), np.array([1.0])), 0)], 1, 2)
+        data = SparseDataset.from_dense([[1.0]], [0], 2)
         m = LinearModel.zeros(2, 1)
         with pytest.raises(ValueError, match="alpha"):
             bouchard_loglik(m, data, Objective(KIND_BOUCHARD, 0.0, np.zeros(3)))
 
     def test_label_out_of_range(self):
-        data = SparseDataset([(SparseVector(np.array([0]), np.array([1.0])), 4)], 1, 5)
+        data = SparseDataset.from_dense([[1.0]], [4], 5)
         m = LinearModel.zeros(3, 1)
         with pytest.raises(ValueError, match="label"):
             exact_loglik(m, data, 0.0)
@@ -229,7 +231,7 @@ class TestGradients:
         # zero model, one instance: every rival weight is sigmoid(0) = 1/2,
         # so row y gets +(K-1)/2 * x and each rival row gets -x/2
         x = SparseVector(np.array([0, 2]), np.array([1.0, 2.0]))
-        data = SparseDataset([(x, 1)], 3, 4)
+        data = SparseDataset.from_dense([x.to_dense(3)], [1], 4)
         m = LinearModel.zeros(4, 3)
         gw, gb = full_gradient(m, data, Objective(KIND_OVE, 0.0))
         dense_x = x.to_dense(3)
@@ -241,13 +243,13 @@ class TestGradients:
     def test_saturated_instance_vanishes(self):
         # f_y far above every rival: all sigmoid weights vanish
         m = LinearModel(np.array([[50.0], [0.0], [0.0]]), np.zeros(3))
-        data = SparseDataset([(SparseVector(np.array([0]), np.array([1.0])), 0)], 1, 3)
+        data = SparseDataset.from_dense([[1.0]], [0], 3)
         gw, gb = full_gradient(m, data, Objective(KIND_OVE, 0.0))
         assert np.max(np.abs(gw)) < 1e-20
         assert np.max(np.abs(gb)) < 1e-20
 
     def test_gradient_rejects_bad_objective(self):
-        data = SparseDataset([(SparseVector(np.array([0]), np.array([1.0])), 0)], 1, 2)
+        data = SparseDataset.from_dense([[1.0]], [0], 2)
         m = LinearModel.zeros(2, 1)
         with pytest.raises(ValueError):
             full_gradient(m, data, Objective("wat", 0.0))

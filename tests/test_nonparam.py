@@ -50,6 +50,8 @@ class TestCountVector:
             CountVector(np.array([0, 0]))
         with pytest.raises(ValueError):
             CountVector(np.array([1.5, 2.5]))
+        with pytest.raises(ConfigError):
+            CountVector.from_labels([0, 3], num_classes=3)
 
 
 class TestExactMle:
@@ -296,6 +298,26 @@ class TestRivalSampling:
         rng = substream(0, "t2")
         draw = sample_rival_classes(rng, np.array([1, 0]), 2, 1)
         np.testing.assert_array_equal(draw, [[0], [1]])
+
+    def test_two_classes_forced(self):
+        # one row at a time: with K = 2 the only rival is forced
+        rng = substream(0, "sr")
+        assert sample_rival_classes(rng, np.array([0]), 2, 1).tolist() == [[1]]
+        assert sample_rival_classes(rng, np.array([1]), 2, 1).tolist() == [[0]]
+
+    def test_uniform_inclusion_one_row(self):
+        # one row per call (b = 1), as the trainer draws at batch size 1
+        rng = substream(2, "sr")
+        draws = 100_000
+        k, s, label = 10, 3, 7
+        hits = np.zeros(k)
+        for _ in range(draws):
+            hits[sample_rival_classes(rng, np.array([label]), k, s)[0]] += 1
+        assert hits[label] == 0
+        p = s / (k - 1)
+        sigma = np.sqrt(draws * p * (1 - p))
+        others = np.delete(hits, label)
+        assert np.all(np.abs(others - draws * p) < 3.5 * sigma)
 
     def test_inclusion_uniform(self):
         # every rival appears with frequency S/(K-1) within 3 standard errors

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from softmax_bounds.bounds import ConvergenceError
-from softmax_bounds.config import ConfigError, NumericalError, TrainConfig
+from softmax_bounds.config import ConfigError, NumericalError, OptimizerSettings, TrainConfig
 from softmax_bounds.datasets import SparseDataset, SparseVector, gen_toy_5class
 from softmax_bounds.linear_model import (
     KIND_BOUCHARD,
@@ -24,21 +24,11 @@ from softmax_bounds.rng import substream
 from softmax_bounds.trainer import (
     TrainTrace,
     fit_full_batch,
-    sample_remaining,
     stochastic_gradient,
     train,
 )
 
-
-def dense_dataset(rng, n, num_classes, num_features, density=0.6):
-    raw = rng.normal(size=(n, num_features))
-    raw *= rng.random(size=raw.shape) < density
-    labels = rng.integers(0, num_classes, size=n)
-    return SparseDataset(
-        rows=[(SparseVector.from_dense(raw[i]), int(labels[i])) for i in range(n)],
-        num_classes=num_classes,
-        num_features=num_features,
-    )
+from helpers import dense_dataset, rows_of
 
 
 @pytest.fixture(scope="module")
@@ -53,44 +43,6 @@ def toy_ove_fit(toy200):
     return fitted
 
 
-class TestSampleRemaining:
-    def test_two_classes_forced(self):
-        rng = substream(0, "sr")
-        assert sample_remaining(2, 0, 1, rng).tolist() == [1]
-        assert sample_remaining(2, 1, 1, rng).tolist() == [0]
-
-    def test_full_complement(self):
-        rng = substream(0, "sr")
-        assert sample_remaining(5, 2, 4, rng).tolist() == [0, 1, 3, 4]
-
-    def test_distinct_and_excludes_label(self):
-        rng = substream(1, "sr")
-        for _ in range(200):
-            picked = sample_remaining(11, 4, 6, rng)
-            assert len(set(picked.tolist())) == 6
-            assert 4 not in picked
-
-    def test_uniform_inclusion(self):
-        rng = substream(2, "sr")
-        draws = 100_000
-        k, s, label = 10, 3, 7
-        hits = np.zeros(k)
-        for _ in range(draws):
-            hits[sample_remaining(k, label, s, rng)] += 1
-        assert hits[label] == 0
-        p = s / (k - 1)
-        sigma = np.sqrt(draws * p * (1 - p))
-        others = np.delete(hits, label)
-        assert np.all(np.abs(others - draws * p) < 3.5 * sigma)
-
-    def test_validation(self):
-        rng = substream(0, "sr")
-        with pytest.raises(ConfigError):
-            sample_remaining(5, 0, 5, rng)
-        with pytest.raises(ConfigError):
-            sample_remaining(5, 5, 1, rng)
-
-
 class TestStochasticGradient:
     def test_degenerate_draw_is_exact_batch_gradient(self):
         rng = substream(3, "data")
@@ -98,7 +50,7 @@ class TestStochasticGradient:
         model = LinearModel(
             weights=rng.normal(size=(5, 4)) * 0.3, biases=rng.normal(size=5) * 0.3
         )
-        batch = list(data.rows)
+        batch = rows_of(data)
         delta, _ = stochastic_gradient(model, batch, 4, substream(3, "draw"))
         dw, db = delta.to_dense(5, 4)
         gw, gb = full_gradient(model, data, Objective(kind=KIND_OVE, lam=0.0))
@@ -136,7 +88,7 @@ class TestStochasticGradient:
         expected_rivals = sample_rival_classes(
             substream(4, "draw"), labels, num_classes=12, num_sampled=2
         )
-        delta, _ = stochastic_gradient(model, list(data.rows), 2, draw)
+        delta, _ = stochastic_gradient(model, rows_of(data), 2, draw)
         allowed = set(labels.tolist()) | set(expected_rivals.ravel().tolist())
         assert set(delta.touched_rows().tolist()) <= allowed
 
@@ -154,7 +106,7 @@ class TestStochasticGradient:
         acc_b = np.zeros(k)
         sq_w = np.zeros((k, d))
         sq_b = np.zeros(k)
-        batch = list(data.rows)
+        batch = rows_of(data)
         for _ in range(reps):
             delta, _ = stochastic_gradient(model, batch, 2, draw)
             dw, db = delta.to_dense(k, d)
@@ -252,6 +204,7 @@ class TestTrain:
         class_rng = substream(cfg.seed, "classes")
         w, b = model.weights.copy(), model.biases.copy()
         labels_all = data.labels()
+        dense_x = data.to_csr()[0].toarray()
         scale_factor = (k - 1) / cfg.num_sampled
         for epoch in range(cfg.epochs):
             lr = cfg.lr0 * cfg.lr_decay**epoch
@@ -265,8 +218,7 @@ class TestTrain:
                 grad_w = np.zeros((k, d))
                 grad_b = np.zeros(k)
                 for row, i in enumerate(chosen):
-                    vec, label = data.rows[i]
-                    x = vec.to_dense(d)
+                    x, label = dense_x[i], labels_all[i]
                     joint = np.concatenate(([label], rivals[row]))
                     scores = b[joint] + w[joint] @ x
                     sig = 1.0 / (1.0 + np.exp(scores[0] - scores[1:]))
@@ -355,7 +307,7 @@ class TestTrain:
             train(LinearModel.zeros(4, 2), toy200, TrainConfig())
         with pytest.raises(ConfigError):
             train(model, toy200, TrainConfig(num_sampled=5))
-        empty = SparseDataset(rows=[], num_classes=5, num_features=2)
+        empty = SparseDataset.from_dense(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 5)
         with pytest.raises(ConfigError):
             train(model, empty, TrainConfig())
 
@@ -424,3 +376,13 @@ class TestFitFullBatch:
             fit_full_batch(
                 LinearModel.zeros(6, 2), toy200, Objective(kind=KIND_OVE)
             )
+
+    @pytest.mark.parametrize("kind", [KIND_EXACT, KIND_OVE, KIND_BOUCHARD])
+    def test_stalled_fit_raises(self, kind):
+        data = gen_toy_5class(50, seed=3)
+        with pytest.raises(ConvergenceError, match="gradient inf-norm") as exc:
+            fit_full_batch(
+                LinearModel.zeros(5, 2), data, Objective(kind=kind, lam=1.0),
+                OptimizerSettings(max_iter=2),
+            )
+        assert "after 2 iterations" in str(exc.value)
