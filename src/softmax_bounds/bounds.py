@@ -83,21 +83,19 @@ def _shape_preserving(func):
 
 
 def _sigmoid_impl(z: np.ndarray) -> np.ndarray:
-    # Two branches so exp never sees a large positive argument.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    # exp only sees -|z|, so it never overflows: 1 / (1 + e^-z) for z >= 0
+    # and e^z / (1 + e^z) below; in place where it can be, since callers
+    # pass whole score matrices
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
 def _log_sigmoid_impl(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = -np.log1p(np.exp(-z[pos]))
-    out[~pos] = z[~pos] - np.log1p(np.exp(z[~pos]))
-    return out
+    t = np.log1p(np.exp(-np.abs(z)))
+    return np.subtract(np.minimum(z, 0.0), t, out=t)
 
 
 def _softplus_impl(z: np.ndarray) -> np.ndarray:

@@ -204,15 +204,22 @@ class ReduceReport:
     num_dropped: int
 
 
-def _sidecar(path: str) -> dict:
+def _sidecar(path: str) -> tuple[int, int]:
+    """The (K, D) that ``<path>.meta.json`` pins; 0 where it pins nothing."""
     meta_path = path + ".meta.json"
     if not os.path.exists(meta_path):
-        return {}
-    with open(meta_path) as fh:
-        meta = json.load(fh)
+        return 0, 0
+    try:
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        raise DatasetFormatError(f"{meta_path}: not valid JSON ({exc})") from None
     if not isinstance(meta, dict):
         raise DatasetFormatError(f"{meta_path}: expected a JSON object")
-    return meta
+    dims = meta.get("K", 0), meta.get("D", 0)
+    if any(type(v) is not int or v < 0 for v in dims):
+        raise DatasetFormatError(f"{meta_path}: K and D must be non-negative integers")
+    return dims
 
 
 def _label(field: str, lineno: int, multilabel: bool) -> int | None:
@@ -311,11 +318,9 @@ def _load(path: str, multilabel: bool, num_classes: int | None, num_features: in
     indices, values = np.concatenate(indices), np.concatenate(values)
     y = np.array(labels, dtype=np.int64)
 
-    meta = _sidecar(path)
-    if num_classes is None:
-        num_classes = int(meta.get("K", 0))
-    if num_features is None:
-        num_features = int(meta.get("D", 0))
+    meta_classes, meta_features = _sidecar(path)
+    num_classes = meta_classes if num_classes is None else num_classes
+    num_features = meta_features if num_features is None else num_features
     num_classes = num_classes or int(y.max()) + 1
     num_features = num_features or int(indices.max(initial=-1)) + 1
     fault = _fault(indptr, indices, values, y, num_features, num_classes)

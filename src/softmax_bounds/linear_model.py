@@ -192,7 +192,15 @@ def scores_matrix(model: LinearModel, data: SparseDataset) -> np.ndarray:
         raise ValueError(
             f"dataset has {mat.shape[1]} features, model has {model.num_features}"
         )
-    return np.asarray(mat @ model.weights.T) + model.biases
+    # mat @ W.T would make scipy copy all of W into a C-ordered transpose;
+    # a block of class rows at a time keeps that copy near 1 MB, in cache,
+    # and every score is the same sum in the same order
+    block = max(1, (1 << 20) // (8 * model.num_features))
+    out = np.empty((mat.shape[0], model.num_classes))
+    for k in range(0, model.num_classes, block):
+        out[:, k : k + block] = mat @ model.weights[k : k + block].T
+    out += model.biases
+    return out
 
 
 def _check_labels(y: np.ndarray, num_classes: int) -> None:

@@ -414,14 +414,18 @@ def sample_rival_classes(
     draw = rng.integers(0, k - 1, size=(b, s))
     draw += draw >= labels[:, None]
     if s > 1:
+        # a row that passed keeps its draw, so each pass re-checks only the
+        # rows it just redrew
+        bad = np.arange(b)
+        fresh = draw
         while True:
-            ordered = np.sort(draw, axis=1)
-            bad = np.flatnonzero((np.diff(ordered, axis=1) == 0).any(axis=1))
+            ordered = np.sort(fresh, axis=1)
+            bad = bad[(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)]
             if bad.size == 0:
                 break
-            redraw = rng.integers(0, k - 1, size=(bad.size, s))
-            redraw += redraw >= labels[bad, None]
-            draw[bad] = redraw
+            fresh = rng.integers(0, k - 1, size=(bad.size, s))
+            fresh += fresh >= labels[bad, None]
+            draw[bad] = fresh
     return draw
 
 

@@ -97,73 +97,83 @@ class TrainTrace:
 
 @dataclass
 class SparseDelta:
-    """Additive update touching few weight rows.
+    """Additive data-term update of one minibatch, touching few weight rows.
 
-    ``rows`` maps class index -> {feature index -> increment}; ``biases``
-    maps class index -> bias increment. Represents the data term only;
-    regularization is the caller's business.
+    Row i of ``classes`` holds instance i's label, then its sampled rivals.
+    Class ``classes[i, c]`` moves by ``coeffs[i, c]`` times the instance's
+    feature vector, and its bias by ``coeffs[i, c]``. The batch's nonzeros
+    are listed in order: nonzero j belongs to instance ``owner[j]`` and has
+    value ``values[j]``, and ``slots[j, c]`` is its position in the
+    flattened (K, D) weights of row ``classes[owner[j], c]``. Represents
+    the data term only; regularization is the caller's business.
     """
 
-    rows: dict[int, dict[int, float]] = field(default_factory=dict)
-    biases: dict[int, float] = field(default_factory=dict)
+    classes: np.ndarray
+    coeffs: np.ndarray
+    owner: np.ndarray
+    slots: np.ndarray
+    values: np.ndarray
 
     def touched_rows(self) -> np.ndarray:
-        keys = set(self.rows) | set(self.biases)
-        return np.array(sorted(keys), dtype=np.int64)
-
-    def add(self, row: int, indices: np.ndarray, values: np.ndarray, coeff: float) -> None:
-        """Accumulate coeff * values onto the given feature slots of row."""
-        slot = self.rows.setdefault(row, {})
-        for i, v in zip(indices, values):
-            key = int(i)
-            slot[key] = slot.get(key, 0.0) + coeff * float(v)
-        self.biases[row] = self.biases.get(row, 0.0) + coeff
+        return np.unique(self.classes)
 
     def to_dense(self, num_classes: int, num_features: int) -> tuple[np.ndarray, np.ndarray]:
-        grad_w = np.zeros((num_classes, num_features))
+        grad_w = np.zeros(num_classes * num_features)
+        np.add.at(grad_w, self.slots, self.coeffs[self.owner] * self.values[:, None])
         grad_b = np.zeros(num_classes)
-        for r, slot in self.rows.items():
-            for j, v in slot.items():
-                grad_w[r, j] += v
-        for r, v in self.biases.items():
-            grad_b[r] += v
-        return grad_w, grad_b
+        np.add.at(grad_b, self.classes, self.coeffs)
+        return grad_w.reshape(num_classes, num_features), grad_b
 
 
-def _batch_terms(
-    model_scores,
-    batch: list[tuple[np.ndarray, np.ndarray, int]],
-    rivals: np.ndarray,
+def _sgd_step(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    chosen: np.ndarray,
+    classes: np.ndarray,
+    flat_values: np.ndarray,
+    scale: np.ndarray,
+    biases: np.ndarray,
     scale_factor: float,
-):
-    """Shared core of the stochastic step: coefficients and bound estimate.
+) -> tuple[SparseDelta, float]:
+    """The doubly stochastic step over one CSR minibatch, without applying it.
 
-    ``batch`` holds one (indices, values, label) triple per instance.
-    ``model_scores(indices, values, rows)`` must return the score of each
-    row class on the instance. Returns one (indices, values, label,
-    sampled, coeff_label, coeff_rivals) tuple per instance plus the mean
-    sampled bound over the batch.
+    ``chosen`` names the batch's rows of the CSR arrays and ``classes`` holds
+    one (label, rivals...) row per instance. The weight of class r and
+    feature j is ``scale[r] * flat_values[r * D + j]``. Returns the sparse
+    delta of the batch's summed sampled bound, rescaled by ``scale_factor``,
+    and the minibatch mean of that bound. Costs O(b * (S + 1) * nnz).
     """
-    terms = []
-    total_bound = 0.0
-    for i, (idx, vals, label) in enumerate(batch):
-        sampled = rivals[i]
-        joint = np.concatenate(([label], sampled))
-        with np.errstate(over="ignore"):
-            # overflow is reported as NumericalError below, not as a warning
-            scores = model_scores(idx, vals, joint)
-        if not np.all(np.isfinite(scores)):
-            raise NumericalError(
-                f"non-finite score encountered (instance {i}, classes {joint.tolist()})"
-            )
-        margins = scores[0] - scores[1:]
-        total_bound += scale_factor * float(np.sum(_log_sigmoid_impl(margins)))
-        # d/df_y sum log sigmoid(f_y - f_m) = sum sigma(f_m - f_y)
-        sig = _sigmoid_impl(-margins)
-        coeff_label = scale_factor * float(np.sum(sig))
-        coeff_rivals = -scale_factor * sig
-        terms.append((idx, vals, label, sampled, coeff_label, coeff_rivals))
-    return terms, total_bound / len(batch)
+    b, width = classes.shape
+    num_features = flat_values.size // scale.size
+    starts = indptr[chosen]
+    counts = indptr[chosen + 1] - starts
+    offsets = counts.cumsum() - counts
+    owner = np.repeat(np.arange(b), counts)
+    pos = (starts - offsets)[owner] + np.arange(owner.size)
+    values = data[pos]
+    slots = classes[owner] * num_features + indices[pos][:, None]
+
+    raw = np.zeros((b, width))
+    nonempty = counts > 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        # overflow is reported as NumericalError below, not as a warning
+        terms = flat_values[slots] * values[:, None]
+        raw[nonempty] = np.add.reduceat(terms, offsets[nonempty], axis=0)
+        scores = biases[classes] + scale[classes] * raw
+    if not np.isfinite(scores).all():
+        i = int(np.argmin(np.isfinite(scores).all(axis=1)))
+        raise NumericalError(
+            f"non-finite score encountered (instance {i}, classes {classes[i].tolist()})"
+        )
+    margins = scores[:, :1] - scores[:, 1:]
+    bound = scale_factor * float(_log_sigmoid_impl(margins).sum()) / b
+    sig = _sigmoid_impl(-margins)
+    # d/df_y sum log sigmoid(f_y - f_m) = sum sigma(f_m - f_y)
+    coeffs = np.empty((b, width))
+    coeffs[:, 0] = scale_factor * sig.sum(axis=1)
+    coeffs[:, 1:] = -scale_factor * sig
+    return SparseDelta(classes, coeffs, owner, slots, values), bound
 
 
 def stochastic_gradient(
@@ -189,21 +199,18 @@ def stochastic_gradient(
     if labels.min() < 0 or labels.max() >= num_classes:
         raise ConfigError("batch label out of range")
     rivals = sample_rival_classes(rng, labels, num_classes=num_classes, num_sampled=num_sampled)
-    scale_factor = (num_classes - 1) / num_sampled
-
-    def scores_on(idx: np.ndarray, vals: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        if idx.size == 0:
-            return model.biases[rows].copy()
-        return model.biases[rows] + model.weights[np.ix_(rows, idx)] @ vals
-
-    triples = [(vec.indices, vec.values, label) for vec, label in batch]
-    terms, bound = _batch_terms(scores_on, triples, rivals, scale_factor)
-    delta = SparseDelta()
-    for idx, vals, label, sampled, coeff_label, coeff_rivals in terms:
-        delta.add(label, idx, vals, coeff_label)
-        for m, c in zip(sampled, coeff_rivals):
-            delta.add(int(m), idx, vals, float(c))
-    return delta, bound
+    indptr = np.cumsum([0] + [vec.indices.size for vec, _ in batch])
+    return _sgd_step(
+        indptr,
+        np.concatenate([vec.indices for vec, _ in batch]),
+        np.concatenate([vec.values for vec, _ in batch]),
+        np.arange(labels.size),
+        np.column_stack((labels, rivals)),
+        np.ascontiguousarray(model.weights).reshape(-1),
+        np.ones(num_classes),
+        model.biases,
+        (num_classes - 1) / num_sampled,
+    )
 
 
 def train(
@@ -252,20 +259,16 @@ def train(
     # the log of the total decay applied so far and row_log[r] records the
     # cum_log at which row r last folded its share in
     values = model.weights.copy()
+    flat_values = values.reshape(-1)
     scale = np.ones(num_classes)
     biases = model.biases.copy()
     cum_log = 0.0
     row_log = np.zeros(num_classes)
 
     def materialize_rows(rows: np.ndarray) -> None:
-        pending = cum_log - row_log[rows]
-        needs = pending != 0.0
-        if np.any(needs):
-            sel = rows[needs]
-            scale[sel] *= np.exp(pending[needs])
-            row_log[sel] = cum_log
-        else:
-            row_log[rows] = cum_log
+        # exp(0) is exactly 1, so rows with nothing pending keep their scale
+        scale[rows] *= np.exp(cum_log - row_log[rows])
+        row_log[rows] = cum_log
 
     trace = TrainTrace()
     t0 = time.perf_counter()
@@ -282,46 +285,29 @@ def train(
             rivals = sample_rival_classes(
                 class_rng, batch_labels, num_classes=num_classes, num_sampled=config.num_sampled
             )
-            touched = np.unique(np.concatenate((batch_labels, rivals.ravel())))
+            classes = np.column_stack((batch_labels, rivals))
+            touched = np.unique(classes)
             materialize_rows(touched)
-
-            # each instance is a slice of the dataset's CSR arrays
-            batch = [
-                (feat_idx[a:b], feat_val[a:b], label)
-                for a, b, label in zip(
-                    indptr[chosen].tolist(), indptr[chosen + 1].tolist(), batch_labels.tolist()
-                )
-            ]
-
-            def scores_on(idx: np.ndarray, vals: np.ndarray, rows: np.ndarray) -> np.ndarray:
-                if idx.size == 0:
-                    return biases[rows].copy()
-                raw = values[np.ix_(rows, idx)] @ vals
-                return biases[rows] + scale[rows] * raw
-
-            terms, bound = _batch_terms(scores_on, batch, rivals, scale_factor)
+            delta, bound = _sgd_step(
+                indptr, feat_idx, feat_val, chosen, classes, flat_values, scale, biases,
+                scale_factor,
+            )
 
             if lam > 0.0:
-                # the batch supplies len(batch) of the n data terms, so the
+                # the batch supplies len(chosen) of the n data terms, so the
                 # penalty share keeping the step unbiased for the summed
-                # objective is lam * len(batch) / n
-                decay = 1.0 - lr * lam * (len(batch) / n)
+                # objective is lam * len(chosen) / n
+                decay = 1.0 - lr * lam * (len(chosen) / n)
                 cum_log += np.log(decay)
                 scale[touched] *= decay
                 row_log[touched] = cum_log
 
-            for idx, vals, label, sampled, coeff_label, coeff_rivals in terms:
-                if idx.size == 0:
-                    biases[label] += lr * coeff_label
-                    for m, c in zip(sampled, coeff_rivals):
-                        biases[int(m)] += lr * float(c)
-                    continue
-                values[label, idx] += (lr * coeff_label / scale[label]) * vals
-                biases[label] += lr * coeff_label
-                for m, c in zip(sampled, coeff_rivals):
-                    mi = int(m)
-                    values[mi, idx] += (lr * float(c) / scale[mi]) * vals
-                    biases[mi] += lr * float(c)
+            # np.add.at, not a fancy-index +=, so that instances sharing a
+            # (class, feature) pair all land
+            steps = lr * delta.coeffs
+            row_steps = (steps / scale[classes])[delta.owner]
+            np.add.at(flat_values, delta.slots, row_steps * delta.values[:, None])
+            np.add.at(biases, classes, steps)
 
             small = touched[np.abs(scale[touched]) < _RENORM_THRESHOLD]
             if small.size:

@@ -270,6 +270,17 @@ class TestTrain:
                        "--out", str(tmp_path / "run")])
         assert rc == 3
 
+    def test_malformed_sidecar(self, tmp_path, capsys):
+        path = tmp_path / "t.txt"
+        path.write_text("1 1:1.0\n2 2:1.0\n", encoding="utf-8")
+        (tmp_path / "t.txt.meta.json").write_text('{"K": 3,', encoding="utf-8")
+        rc = cli.main(["train", "--train", str(path), "--objective", "soft",
+                       "--out", str(tmp_path / "run")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "t.txt.meta.json" in err
+
     def test_bad_learning_rate(self, toy_files, tmp_path, capsys):
         train, _ = toy_files
         rc = cli.main(["train", "--train", train, "--objective", "ove-sgd",

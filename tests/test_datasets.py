@@ -115,6 +115,17 @@ class TestLoadSparse:
         with pytest.raises(DatasetFormatError, match="exceeds"):
             load_sparse(str(p))
 
+    @pytest.mark.parametrize(
+        "meta",
+        ['{"K": 3,', '{"K": "3"}', '{"K": -1}', '{"D": 2.5}', '{"D": true}', '{"K": [3]}', "[3, 2]"],
+    )
+    def test_malformed_sidecar_rejected(self, tmp_path, meta):
+        p = tmp_path / "d.txt"
+        p.write_text("1 1:1\n")
+        (tmp_path / "d.txt.meta.json").write_text(meta)
+        with pytest.raises(DatasetFormatError, match=r"d\.txt\.meta\.json"):
+            load_sparse(str(p))
+
     def test_explicit_counts_override(self, tmp_path):
         p = tmp_path / "d.txt"
         p.write_text("1 1:1\n")

@@ -59,6 +59,17 @@ class TestScores:
         for i, (x, _) in enumerate(rows_of(data)):
             np.testing.assert_allclose(scores(m, x), expected[i], rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("k", [40, 10])
+    def test_matches_one_product(self, k):
+        # at D = 8000 a block holds 16 class rows: K = 40 spans three
+        # blocks, K = 10 fits in one; either way every score is bit-equal
+        rng = substream(4, "scores")
+        d = 8000
+        m = make_model(rng, k, d)
+        data, _, _ = make_data(rng, 30, d, k, density=0.002)
+        mat, _ = data.to_csr()
+        assert np.array_equal(scores_matrix(m, data), mat @ m.weights.T + m.biases)
+
     def test_dimension_mismatch(self):
         m = LinearModel.zeros(3, 4)
         x = SparseVector(np.array([7]), np.array([1.0]))

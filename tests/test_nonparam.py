@@ -282,7 +282,51 @@ class TestBouchardFit:
             assert fd == pytest.approx(0.0, abs=1e-4)
 
 
+def _sample_rival_classes_rechecking_all(rng, labels, num_classes, num_sampled):
+    """The rival sampler as it was before its rejection loop re-checked
+    only the redrawn rows: every pass sorts and tests the whole draw."""
+    labels = np.asarray(labels)
+    b, s, k = labels.size, int(num_sampled), int(num_classes)
+    if s == k - 1:
+        grid = np.broadcast_to(np.arange(k), (b, k))
+        return grid[grid != labels[:, None]].reshape(b, s)
+    if 3 * s >= k - 1:
+        base = np.broadcast_to(np.arange(k - 1), (b, k - 1)).copy()
+        perm = rng.permuted(base, axis=1)[:, :s]
+        return perm + (perm >= labels[:, None])
+    draw = rng.integers(0, k - 1, size=(b, s))
+    draw += draw >= labels[:, None]
+    if s > 1:
+        while True:
+            ordered = np.sort(draw, axis=1)
+            bad = np.flatnonzero((np.diff(ordered, axis=1) == 0).any(axis=1))
+            if bad.size == 0:
+                break
+            redraw = rng.integers(0, k - 1, size=(bad.size, s))
+            redraw += redraw >= labels[bad, None]
+            draw[bad] = redraw
+    return draw
+
+
 class TestRivalSampling:
+    @pytest.mark.parametrize(
+        "k, s, b",
+        [(3000, 5, 1), (3000, 5, 100), (1000, 10, 100), (40, 12, 50), (10, 2, 30),
+         (30, 10, 20), (6, 5, 4)],
+    )
+    def test_matches_full_recheck_oracle(self, k, s, b):
+        # same draws from the same generator calls, so the stream after the
+        # call is the same too
+        for seed in range(5):
+            labels = np.random.default_rng([seed, k]).integers(0, k, size=b)
+            got_rng = np.random.default_rng([seed, k, s, b])
+            want_rng = np.random.default_rng([seed, k, s, b])
+            for _ in range(3):
+                got = sample_rival_classes(got_rng, labels, k, s)
+                want = _sample_rival_classes_rechecking_all(want_rng, labels, k, s)
+                assert np.array_equal(got, want)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
     def test_excludes_label_and_distinct(self):
         rng = substream(0, "t1")
         labels = np.array([0, 3, 7, 7, 2])

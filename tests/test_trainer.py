@@ -326,6 +326,78 @@ class TestTrain:
         assert abs(tail.mean() - per_instance_opt) <= 3.5 * se
 
 
+class TestStepKernel:
+    """One step of ``train`` against per-instance references."""
+
+    @staticmethod
+    def one_step(data, model, seed, lr, num_sampled=2):
+        cfg = TrainConfig(batch_size=len(data), num_sampled=num_sampled, lr0=lr,
+                          epochs=1, lam=0.0, seed=seed)
+        got, _ = train(model, data, cfg)
+        order = substream(seed, "shuffle").permutation(len(data))
+        return got, order
+
+    def test_shared_label_and_feature_both_land(self):
+        # instances 0 and 2 share label 2 and feature 1, so both add to the
+        # weight (2, 1) in the same step; instance 1 has no features at all
+        x = np.array([[1.5, 2.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+                      [0.0, -0.5, 3.0, 0.0], [0.0, 1.0, 0.0, 2.5]])
+        labels = np.array([2, 1, 2, 0])
+        k, d = 5, 4
+        data = SparseDataset.from_dense(x, labels, k)
+        rng = substream(30, "model")
+        model = LinearModel(weights=rng.normal(size=(k, d)) * 0.3,
+                            biases=rng.normal(size=k) * 0.1)
+        lr, seed, s = 0.5, 4, 2
+        got, order = self.one_step(data, model, seed, lr, s)
+
+        rivals = sample_rival_classes(
+            substream(seed, "classes"), labels[order], num_classes=k, num_sampled=s
+        )
+        w, b = model.weights.copy(), model.biases.copy()
+        for i, row in zip(order, rivals):
+            joint = np.concatenate(([labels[i]], row))
+            scores = model.biases[joint] + model.weights[joint] @ x[i]
+            sig = 1.0 / (1.0 + np.exp(scores[0] - scores[1:]))
+            coeffs = (k - 1) / s * np.concatenate(([sig.sum()], -sig))
+            for c, coeff in zip(joint, coeffs):
+                w[c] += lr * coeff * x[i]
+                b[c] += lr * coeff
+        np.testing.assert_allclose(got.weights, w, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(got.biases, b, rtol=1e-12, atol=1e-15)
+
+    def test_unit_step_adds_stochastic_gradient(self):
+        rng = substream(31, "data")
+        k, d, n = 7, 5, 6
+        data = dense_dataset(rng, n, k, d)
+        model = LinearModel(weights=rng.normal(size=(k, d)) * 0.3,
+                            biases=rng.normal(size=k) * 0.1)
+        seed = 8
+        got, order = self.one_step(data, model, seed, lr=1.0)
+        rows = rows_of(data)
+        delta, _ = stochastic_gradient(
+            model, [rows[i] for i in order], 2, substream(seed, "classes")
+        )
+        dw, db = delta.to_dense(k, d)
+        np.testing.assert_allclose(got.weights, model.weights + dw, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(got.biases, model.biases + db, rtol=1e-12, atol=1e-15)
+
+    def test_non_finite_score_names_instance_and_classes(self):
+        # K - 1 rivals are the whole complement, so the classes are known;
+        # only the instance with feature 0 reaches the overflowing weight
+        x = np.array([[0.0, 1.0], [10.0, 0.0]])
+        data = SparseDataset.from_dense(x, np.array([0, 1]), 3)
+        weights = np.zeros((3, 2))
+        weights[2, 0] = 1e308
+        model = LinearModel(weights=weights, biases=np.zeros(3))
+        seed = 3
+        position = int(np.flatnonzero(substream(seed, "shuffle").permutation(2) == 1)[0])
+        expected = f"non-finite score encountered (instance {position}, classes [1, 0, 2])"
+        with pytest.raises(NumericalError) as exc:
+            self.one_step(data, model, seed, lr=0.1, num_sampled=2)
+        assert str(exc.value) == expected
+
+
 class TestFitFullBatch:
     def test_gradient_small_at_solution(self, toy200):
         model = LinearModel.zeros(5, 2)
