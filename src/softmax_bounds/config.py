@@ -76,7 +76,7 @@ class TrainConfig:
             raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ConfigError(f"lam must be >= 0, got {self.lam}")
         if self.lr0 * self.lam >= 1:
             raise ConfigError(

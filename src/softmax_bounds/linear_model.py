@@ -19,6 +19,7 @@ comparable across objectives.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -57,6 +58,8 @@ KIND_BOUCHARD = "bouchard"
 
 _MAGIC = b"SBLM"
 _VERSION = 1
+_HEADER = struct.Struct("<4sIQQ")
+_BLOCK = 32768  # elements per block of the dense reductions: 256 KB, so it stays in cache
 
 
 class CheckpointError(ValueError):
@@ -106,30 +109,31 @@ class LinearModel:
         self.check_finite()
         k, d = self.weights.shape
         with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<IQQ", _VERSION, k, d))
-            fh.write(np.ascontiguousarray(self.weights, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(self.biases, dtype="<f8").tobytes())
+            fh.write(_HEADER.pack(_MAGIC, _VERSION, k, d))
+            # .data writes the array's own buffer, where tobytes() copies all of W
+            fh.write(np.ascontiguousarray(self.weights, dtype="<f8").data)
+            fh.write(np.ascontiguousarray(self.biases, dtype="<f8").data)
 
     @classmethod
     def load(cls, path: str) -> "LinearModel":
         with open(path, "rb") as fh:
-            blob = fh.read()
-        header = struct.calcsize("<IQQ")
-        if len(blob) < 4 + header or blob[:4] != _MAGIC:
-            raise CheckpointError(f"{path}: not a model checkpoint")
-        version, k, d = struct.unpack_from("<IQQ", blob, 4)
-        if version != _VERSION:
-            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        expected = 4 + header + 8 * (k * d + k)
-        if len(blob) != expected:
-            raise CheckpointError(
-                f"{path}: truncated checkpoint ({len(blob)} bytes, expected {expected})"
-            )
-        offset = 4 + header
-        weights = np.frombuffer(blob, dtype="<f8", count=k * d, offset=offset)
-        biases = np.frombuffer(blob, dtype="<f8", count=k, offset=offset + 8 * k * d)
-        return cls(weights.reshape(k, d).copy(), biases.copy())
+            head = fh.read(_HEADER.size)
+            if len(head) < _HEADER.size or head[:4] != _MAGIC:
+                raise CheckpointError(f"{path}: not a model checkpoint")
+            _, version, k, d = _HEADER.unpack(head)
+            if version != _VERSION:
+                raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+            expected = _HEADER.size + 8 * (k * d + k)
+            size = os.fstat(fh.fileno()).st_size
+            if size != expected:
+                raise CheckpointError(
+                    f"{path}: truncated checkpoint ({size} bytes, expected {expected})"
+                )
+            params = np.empty(k * d + k, dtype="<f8")
+            # a file that shrank after the size check reads short
+            if fh.readinto(params.data) != params.nbytes:
+                raise CheckpointError(f"{path}: checkpoint changed while being read")
+        return cls(params[: k * d].reshape(k, d), params[k * d :])
 
     def to_json_dict(self) -> dict:
         return {
@@ -157,7 +161,7 @@ class Objective:
     def validate(self, num_instances: int | None = None) -> None:
         if self.kind not in (KIND_EXACT, KIND_OVE, KIND_BOUCHARD):
             raise ValueError(f"unknown objective kind {self.kind!r}")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
         if self.kind == KIND_BOUCHARD:
             if self.per_instance_alpha is None:
@@ -208,8 +212,16 @@ def _check_labels(y: np.ndarray, num_classes: int) -> None:
         raise ValueError("label out of range for the model's class count")
 
 
+def _blocked_sum(term, num_rows: int, row_len: int) -> float:
+    """Sum of ``term(rows)`` over slices of about ``_BLOCK`` elements, so its
+    temporaries stay block-sized; one block is exactly the whole sum."""
+    step = max(1, _BLOCK // max(1, row_len))
+    return sum(float(term(slice(r, r + step)).sum()) for r in range(0, num_rows, step))
+
+
 def _penalty(model: LinearModel, lam: float) -> float:
-    return 0.5 * lam * float(np.sum(model.weights**2))
+    w = model.weights
+    return 0.5 * lam * _blocked_sum(lambda rows: w[rows] ** 2, *w.shape)
 
 
 def _row_lse(f: np.ndarray) -> np.ndarray:
@@ -233,11 +245,10 @@ def ove_loglik(model: LinearModel, data: SparseDataset, lam: float = 0.0) -> flo
     f = scores_matrix(model, data)
     y = data.labels()
     _check_labels(y, model.num_classes)
-    rows = np.arange(len(y))
-    ls = _log_sigmoid_impl(f[rows, y][:, None] - f)
+    fy = f[np.arange(len(y)), y]
+    total = _blocked_sum(lambda rows: _log_sigmoid_impl(fy[rows, None] - f[rows]), *f.shape)
     # the m = y_n term is log sigmoid(0) = -log 2 in every row; drop it
-    total = float(ls.sum()) + len(y) * np.log(2.0)
-    return total - _penalty(model, lam)
+    return total + len(y) * np.log(2.0) - _penalty(model, lam)
 
 
 def bouchard_loglik(
@@ -323,6 +334,7 @@ def predict_proba(model: LinearModel, x: SparseVector) -> np.ndarray:
 
 
 def predict_proba_all(model: LinearModel, data: SparseDataset) -> np.ndarray:
-    f = scores_matrix(model, data)
-    e = np.exp(f - f.max(axis=1)[:, None])
-    return e / e.sum(axis=1)[:, None]
+    e = scores_matrix(model, data)
+    e -= e.max(axis=1)[:, None]
+    e /= np.exp(e, out=e).sum(axis=1)[:, None]
+    return e

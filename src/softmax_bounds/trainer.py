@@ -379,8 +379,9 @@ def _lbfgs(value_and_grad, model: LinearModel, settings: OptimizerSettings):
     )
     fitted = _unflatten(res.x, K, D)
     val, (gw, gb) = value_and_grad(fitted)
-    gnorm = max(np.abs(gw).max(), np.abs(gb).max())
-    if gnorm > settings.grad_tol:
+    # np.maximum keeps a NaN from either side, where max() may drop it
+    gnorm = np.maximum(np.abs(gw).max(), np.abs(gb).max())
+    if not gnorm <= settings.grad_tol:
         raise ConvergenceError(
             f"full-batch fit stalled: gradient inf-norm {gnorm:.3e} exceeds "
             f"{settings.grad_tol:.3e} after {res.nit} iterations ({res.message})"
@@ -412,7 +413,7 @@ def fit_full_batch(
     settings.validate()
     if objective.kind not in (KIND_EXACT, KIND_OVE, KIND_BOUCHARD):
         raise ConfigError(f"unknown objective kind {objective.kind!r}")
-    if objective.lam < 0:
+    if not objective.lam >= 0:
         raise ConfigError(f"lam must be >= 0, got {objective.lam}")
     if data.num_classes != model.num_classes or data.num_features != model.num_features:
         raise ConfigError(

@@ -412,6 +412,7 @@ def _synthetic_extreme(num_classes, num_features, n):
     )
 
 
+@pytest.mark.slow
 def test_9_extreme_scale_sparse_training():
     """Five epochs at 3000 classes x 50000 features stay sparse and improve.
 

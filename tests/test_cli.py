@@ -288,6 +288,14 @@ class TestTrain:
         assert rc == 2
         assert "lr0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("objective", ["ove", "soft", "ove-sgd"])
+    def test_nan_lam(self, toy_files, tmp_path, capsys, objective):
+        train, _ = toy_files
+        rc = cli.main(["train", "--train", train, "--objective", objective,
+                       "--lam", "nan", "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "lam must be >= 0, got nan" in capsys.readouterr().err
+
     def test_too_many_sampled_classes(self, toy_files, tmp_path):
         train, _ = toy_files
         rc = cli.main(["train", "--train", train, "--objective", "ove-sgd",

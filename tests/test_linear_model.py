@@ -1,8 +1,12 @@
 """Tests for linear scores, the three objectives, and their gradients."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from softmax_bounds.bounds import _log_sigmoid_impl
 from softmax_bounds.datasets import SparseDataset, SparseVector
 from softmax_bounds.linear_model import (
     KIND_BOUCHARD,
@@ -19,6 +23,7 @@ from softmax_bounds.linear_model import (
     predict,
     predict_all,
     predict_proba,
+    predict_proba_all,
     scores,
     scores_matrix,
 )
@@ -266,6 +271,8 @@ class TestGradients:
             full_gradient(m, data, Objective("wat", 0.0))
         with pytest.raises(ValueError):
             full_gradient(m, data, Objective(KIND_EXACT, -1.0))
+        with pytest.raises(ValueError, match="lam"):
+            full_gradient(m, data, Objective(KIND_EXACT, float("nan")))
         with pytest.raises(ValueError):
             full_gradient(m, data, Objective(KIND_EXACT, 0.0, np.zeros(1)))
 
@@ -345,6 +352,33 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             LinearModel.load(str(path))
 
+    def test_rejects_trailing_bytes(self, tmp_path):
+        m = make_model(substream(20, "ckpt"), 3, 4)
+        path = tmp_path / "m.bin"
+        m.save(str(path))
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(CheckpointError, match=f"{size + 8} bytes, expected {size}"):
+            LinearModel.load(str(path))
+
+    @pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+    def test_save_writes_the_row_major_layout(self, tmp_path, layout):
+        # the layout the checkpoint has always had: header, then the
+        # bytes of C-ordered little-endian copies of weights and biases
+        rng = substream(21, "ckpt")
+        w = rng.normal(size=(5, 14))
+        w = {"C": w, "F": np.asfortranarray(w), "sliced": w[:, ::2]}[layout]
+        m = LinearModel(w, rng.normal(size=5))
+        path = tmp_path / "m.bin"
+        m.save(str(path))
+        expected = (
+            b"SBLM"
+            + struct.pack("<IQQ", 1, *w.shape)
+            + np.ascontiguousarray(w, dtype="<f8").tobytes()
+            + np.ascontiguousarray(m.biases, dtype="<f8").tobytes()
+        )
+        assert path.read_bytes() == expected
+
     def test_rejects_nonfinite_save(self, tmp_path):
         m = LinearModel(np.array([[np.nan]]), np.zeros(1))
         with pytest.raises(ValueError):
@@ -356,3 +390,92 @@ class TestCheckpoint:
         back = LinearModel.from_json_dict(m.to_json_dict())
         np.testing.assert_array_equal(back.weights, m.weights)
         np.testing.assert_array_equal(back.biases, m.biases)
+
+
+def _ove_loglik_oracle(model, data, lam):
+    """The unblocked formula: one (N, K) log-sigmoid matrix, one sum."""
+    f = scores_matrix(model, data)
+    y = data.labels()
+    ls = _log_sigmoid_impl(f[np.arange(len(y)), y][:, None] - f)
+    total = float(ls.sum()) + len(y) * np.log(2.0)
+    return total - 0.5 * lam * float(np.sum(model.weights**2))
+
+
+class TestDenseTail:
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    def test_ove_loglik_one_block_is_exact(self, lam):
+        # N * K and K * D both fit in one block of rows
+        rng = substream(22, "tail")
+        m = make_model(rng, 7, 30, scale=2.0)
+        data, _, _ = make_data(rng, 40, 30, 7)
+        assert ove_loglik(m, data, lam) == _ove_loglik_oracle(m, data, lam)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    def test_ove_loglik_many_blocks(self, lam):
+        # N * K = 50000 and K * D = 100000 span several blocks of rows
+        rng = substream(23, "tail")
+        m = make_model(rng, 1000, 100, scale=0.3)
+        data, _, _ = make_data(rng, 50, 100, 1000, density=0.1)
+        assert ove_loglik(m, data, lam) == pytest.approx(
+            _ove_loglik_oracle(m, data, lam), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("k", [6, 1000])
+    def test_predict_proba_all_is_exact_softmax(self, k):
+        rng = substream(24, "tail")
+        m = make_model(rng, k, 12, scale=3.0)
+        data, _, _ = make_data(rng, 40, 12, k)
+        f = scores_matrix(m, data)
+        e = np.exp(f - f.max(axis=1)[:, None])
+        assert np.array_equal(predict_proba_all(m, data), e / e.sum(axis=1)[:, None])
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes traced while ``fn(*args)`` runs (numpy reports its buffers
+    to tracemalloc), counting what it returns."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """N = K = 2000, D = 1000, 10 nnz per row: the score matrix is 32 MB and
+    W 16 MB, so any whole-array temporary shows against either."""
+    n = k = 2000
+    d, nnz = 1000, 10
+    rng = substream(25, "tail")
+    indices = np.sort(np.argsort(rng.random((n, d)), axis=1)[:, :nnz], axis=1)
+    data = SparseDataset(
+        np.arange(0, n * nnz + 1, nnz), indices.ravel(), rng.normal(size=n * nnz),
+        rng.integers(0, k, size=n), d, k,
+    )
+    return make_model(rng, k, d, scale=0.1), data
+
+
+class TestDenseTailMemory:
+    def test_ove_loglik(self, wide):
+        m, data = wide
+        peak = _traced_peak(ove_loglik, m, data, 0.1)
+        assert peak < 1.25 * len(data) * m.num_classes * 8
+
+    def test_predict_proba_all(self, wide):
+        m, data = wide
+        peak = _traced_peak(predict_proba_all, m, data)
+        assert peak < 1.25 * len(data) * m.num_classes * 8
+
+    def test_save(self, wide, tmp_path):
+        m, _ = wide
+        peak = _traced_peak(m.save, str(tmp_path / "m.bin"))
+        assert peak < 0.25 * m.weights.nbytes
+
+    def test_load(self, wide, tmp_path):
+        m, _ = wide
+        path = str(tmp_path / "m.bin")
+        m.save(path)
+        peak = _traced_peak(LinearModel.load, path)
+        assert peak < 1.1 * m.weights.nbytes

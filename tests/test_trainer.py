@@ -23,6 +23,7 @@ from softmax_bounds.nonparam import sample_rival_classes
 from softmax_bounds.rng import substream
 from softmax_bounds.trainer import (
     TrainTrace,
+    _lbfgs,
     fit_full_batch,
     stochastic_gradient,
     train,
@@ -434,10 +435,11 @@ class TestFitFullBatch:
         )
 
     def test_rejects_unknown_kind(self, toy200):
-        with pytest.raises(ConfigError):
-            fit_full_batch(
-                LinearModel.zeros(5, 2), toy200, Objective(kind=KIND_OVE, lam=-1.0)
-            )
+        for lam in (-1.0, float("nan")):
+            with pytest.raises(ConfigError, match="lam"):
+                fit_full_batch(
+                    LinearModel.zeros(5, 2), toy200, Objective(kind=KIND_OVE, lam=lam)
+                )
         with pytest.raises((ConfigError, ValueError)):
             fit_full_batch(
                 LinearModel.zeros(5, 2), toy200, Objective(kind="huber", lam=0.0)
@@ -448,6 +450,18 @@ class TestFitFullBatch:
             fit_full_batch(
                 LinearModel.zeros(6, 2), toy200, Objective(kind=KIND_OVE)
             )
+
+    @pytest.mark.parametrize("where", ["weights", "biases"])
+    def test_nan_gradient_raises(self, where):
+        # a NaN compares false with any tolerance, so it must fail the
+        # convergence test instead of slipping through it
+        def value_and_grad(m):
+            gw, gb = np.zeros_like(m.weights), np.zeros_like(m.biases)
+            (gw if where == "weights" else gb).flat[0] = np.nan
+            return 0.0, (gw, gb)
+
+        with pytest.raises(ConvergenceError, match="gradient inf-norm nan"):
+            _lbfgs(value_and_grad, LinearModel.zeros(3, 2), OptimizerSettings())
 
     @pytest.mark.parametrize("kind", [KIND_EXACT, KIND_OVE, KIND_BOUCHARD])
     def test_stalled_fit_raises(self, kind):
