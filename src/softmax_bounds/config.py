@@ -7,6 +7,7 @@ ConvergenceError (the run itself went bad, exit code 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
 
 
@@ -70,8 +71,8 @@ class TrainConfig:
             raise ConfigError(
                 f"num_sampled={self.num_sampled} exceeds K-1={num_classes - 1} rival classes"
             )
-        if not self.lr0 > 0:
-            raise ConfigError(f"lr0 must be positive, got {self.lr0}")
+        if not 0 < self.lr0 < math.inf:
+            raise ConfigError(f"lr0 must be positive and finite, got {self.lr0}")
         if not 0 < self.lr_decay <= 1:
             raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if self.epochs < 1:

@@ -178,12 +178,11 @@ class Objective:
 
 
 def scores(model: LinearModel, x: SparseVector) -> np.ndarray:
-    """All K scores for one instance in O(K * nnz(x))."""
-    if x.nnz and int(x.indices[-1]) >= model.num_features:
-        raise ValueError(
-            f"feature index {int(x.indices[-1])} out of range for "
-            f"{model.num_features} features"
-        )
+    """All K scores for one instance in O(K * nnz(x)).
+
+    Raises ValueError unless ``x`` is a valid row of the model's features.
+    """
+    x.validate(model.num_features)
     if x.nnz == 0:
         return model.biases.copy()
     return model.biases + model.weights[:, x.indices] @ x.values

@@ -33,7 +33,7 @@ from softmax_bounds.bounds import (
     _softplus_impl,
     optimize_alpha,
 )
-from softmax_bounds.config import ConfigError, OptimizerSettings, TrainConfig
+from softmax_bounds.config import ConfigError, NumericalError, OptimizerSettings, TrainConfig
 from softmax_bounds.rng import substream
 
 __all__ = [
@@ -480,28 +480,33 @@ def ove_sgd_fit(
             error_trace.append((step, l1))
 
     step = 0
-    for epoch in range(config.epochs):
-        lr = config.lr0 * config.lr_decay**epoch
-        order = shuffle_rng.permutation(n)
-        for start in range(0, n, b):
-            batch = labels[order[start : start + b]]
-            rivals = sample_rival_classes(class_rng, batch, k, s)
-            diff = f[batch][:, None] - f[rivals]
-            sig = _sigmoid_impl(-diff)  # sigmoid(f_rival - f_label)
-            delta = np.bincount(batch, weights=scale * sig.sum(axis=1), minlength=k)
-            delta -= np.bincount(
-                rivals.ravel(), weights=scale * sig.ravel(), minlength=k
-            )
-            step += 1
-            log_now = step % config.log_every == 0 or step == 1
-            if log_now:
-                # sampled estimate of the per-observation bound at the
-                # pre-update iterate, where the gradient was taken
-                est = float(np.mean(scale * _log_sigmoid_impl(diff).sum(axis=1)))
-                objective_trace.append((step, est))
-            f += lr * delta
-            if log_now:
-                record(step)
+    # an overflowing step makes f non-finite for good, which is reported
+    # once below as NumericalError, not as a warning per operation
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            lr = config.lr0 * config.lr_decay**epoch
+            order = shuffle_rng.permutation(n)
+            for start in range(0, n, b):
+                batch = labels[order[start : start + b]]
+                rivals = sample_rival_classes(class_rng, batch, k, s)
+                diff = f[batch][:, None] - f[rivals]
+                sig = _sigmoid_impl(-diff)  # sigmoid(f_rival - f_label)
+                delta = np.bincount(batch, weights=scale * sig.sum(axis=1), minlength=k)
+                delta -= np.bincount(
+                    rivals.ravel(), weights=scale * sig.ravel(), minlength=k
+                )
+                step += 1
+                log_now = step % config.log_every == 0 or step == 1
+                if log_now:
+                    # sampled estimate of the per-observation bound at the
+                    # pre-update iterate, where the gradient was taken
+                    est = float(np.mean(scale * _log_sigmoid_impl(diff).sum(axis=1)))
+                    objective_trace.append((step, est))
+                f += lr * delta
+                if log_now:
+                    record(step)
+    if not np.isfinite(f).all():
+        raise NumericalError("scores became non-finite; lower the learning rate")
     if step % config.log_every != 0 and step != 1:
         record(step)
 

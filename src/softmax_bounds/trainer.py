@@ -8,6 +8,14 @@ rows {label} union {sampled rivals} and, within each row, only the feature
 indices present in the instance: cost O(b * (S + 1) * nnz) per step,
 independent of K and D.
 
+At small b that arithmetic is tiny next to the fixed cost of a numpy call,
+so ``train`` plans the weight-independent index work of a chunk of steps in
+a few vectorised passes, and runs each maximal run of consecutive steps
+whose touched rows are pairwise disjoint as one kernel call. A step reads
+only the rows it writes, so the fused run is bit-identical to the steps one
+at a time. At b = 1 such a run holds about sqrt(pi K / 2) / (S + 1) steps,
+so the cost per instance falls as K grows.
+
 L2 regularization would break that cost model (decay touches every
 parameter), so it is applied lazily: weights are stored as
 ``w[r] = scale[r] * v[r]`` with one scalar scale per row, a global running
@@ -30,7 +38,7 @@ import numpy as np
 
 from softmax_bounds.bounds import ConvergenceError, _log_sigmoid_impl, _sigmoid_impl
 from softmax_bounds.config import ConfigError, NumericalError, OptimizerSettings, TrainConfig
-from softmax_bounds.datasets import SparseDataset, SparseVector
+from softmax_bounds.datasets import SparseDataset, SparseVector, _check_arrays
 from softmax_bounds.linear_model import (
     KIND_BOUCHARD,
     KIND_EXACT,
@@ -57,6 +65,11 @@ __all__ = [
 # fold a row's scale into its values once it drifts this small, so long
 # untouched stretches under strong decay cannot underflow the scale
 _RENORM_THRESHOLD = 1e-6
+
+# instances whose index work train plans at once, rounded down to whole
+# batches: enough to amortize each planning pass's numpy calls, few enough
+# that a plan's arrays stay near 1 MB
+_CHUNK = 1024
 
 
 @dataclass
@@ -97,7 +110,7 @@ class TrainTrace:
 
 @dataclass
 class SparseDelta:
-    """Additive data-term update of one minibatch, touching few weight rows.
+    """Additive data-term update of one or more minibatches, touching few weight rows.
 
     Row i of ``classes`` holds instance i's label, then its sampled rivals.
     Class ``classes[i, c]`` moves by ``coeffs[i, c]`` times the instance's
@@ -125,55 +138,82 @@ class SparseDelta:
         return grad_w.reshape(num_classes, num_features), grad_b
 
 
-def _sgd_step(
+def _gather(
     indptr: np.ndarray,
     indices: np.ndarray,
     data: np.ndarray,
     chosen: np.ndarray,
     classes: np.ndarray,
+    num_features: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzeros of CSR rows ``chosen``, laid out for ``_sgd_step``.
+
+    Returns (ptr, owner, slots, values): instance i's nonzeros are
+    ``ptr[i]:ptr[i + 1]``, nonzero j belongs to instance ``owner[j]`` and
+    has value ``values[j]``, and ``slots[j, c]`` is its position in the
+    flattened (K, D) weights of row ``classes[owner[j], c]``.
+    """
+    starts = indptr[chosen]
+    counts = indptr[chosen + 1] - starts
+    ptr = np.concatenate(([0], np.cumsum(counts)))
+    owner = np.repeat(np.arange(chosen.size), counts)
+    pos = (starts - ptr[:-1])[owner] + np.arange(owner.size)
+    slots = classes[owner] * num_features + indices[pos][:, None]
+    return ptr, owner, slots, data[pos]
+
+
+def _sgd_step(
+    ptr: np.ndarray,
+    owner: np.ndarray,
+    slots: np.ndarray,
+    values: np.ndarray,
+    classes: np.ndarray,
     flat_values: np.ndarray,
     scale: np.ndarray,
     biases: np.ndarray,
     scale_factor: float,
-) -> tuple[SparseDelta, float]:
-    """The doubly stochastic step over one CSR minibatch, without applying it.
+    batch_size: int,
+) -> tuple[SparseDelta, np.ndarray]:
+    """The doubly stochastic step over gathered instances, without applying it.
 
-    ``chosen`` names the batch's rows of the CSR arrays and ``classes`` holds
-    one (label, rivals...) row per instance. The weight of class r and
+    ``classes`` holds one (label, rivals...) row per instance and the other
+    index arrays are as ``_gather`` returns them. The weight of class r and
     feature j is ``scale[r] * flat_values[r * D + j]``. Returns the sparse
-    delta of the batch's summed sampled bound, rescaled by ``scale_factor``,
-    and the minibatch mean of that bound. Costs O(b * (S + 1) * nnz).
+    delta of the instances' summed sampled bound, rescaled by
+    ``scale_factor``, and the (m, S) sampled log-sigmoid terms, from which
+    ``_bound_estimate`` takes a batch's bound. The instances form
+    consecutive batches of ``batch_size``; only the NumericalError message
+    uses that. Costs O(m * (S + 1) * nnz).
     """
-    b, width = classes.shape
-    num_features = flat_values.size // scale.size
-    starts = indptr[chosen]
-    counts = indptr[chosen + 1] - starts
-    offsets = counts.cumsum() - counts
-    owner = np.repeat(np.arange(b), counts)
-    pos = (starts - offsets)[owner] + np.arange(owner.size)
-    values = data[pos]
-    slots = classes[owner] * num_features + indices[pos][:, None]
-
-    raw = np.zeros((b, width))
-    nonempty = counts > 0
+    m, width = classes.shape
+    nonempty = ptr[1:] > ptr[:-1]
+    raw = np.zeros((m, width))
+    # overflow is reported as NumericalError below, not as a warning, and
+    # an infinite margin between finite scores is a valid sigmoid argument
     with np.errstate(over="ignore", invalid="ignore"):
-        # overflow is reported as NumericalError below, not as a warning
         terms = flat_values[slots] * values[:, None]
-        raw[nonempty] = np.add.reduceat(terms, offsets[nonempty], axis=0)
+        raw[nonempty] = np.add.reduceat(terms, ptr[:-1][nonempty], axis=0)
         scores = biases[classes] + scale[classes] * raw
-    if not np.isfinite(scores).all():
-        i = int(np.argmin(np.isfinite(scores).all(axis=1)))
-        raise NumericalError(
-            f"non-finite score encountered (instance {i}, classes {classes[i].tolist()})"
-        )
-    margins = scores[:, :1] - scores[:, 1:]
-    bound = scale_factor * float(_log_sigmoid_impl(margins).sum()) / b
-    sig = _sigmoid_impl(-margins)
+        finite = np.isfinite(scores).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise NumericalError(
+                f"non-finite score encountered (instance {i % batch_size}, "
+                f"classes {classes[i].tolist()})"
+            )
+        margins = scores[:, :1] - scores[:, 1:]
+        sig = _sigmoid_impl(-margins)
+        log_terms = _log_sigmoid_impl(margins)
     # d/df_y sum log sigmoid(f_y - f_m) = sum sigma(f_m - f_y)
-    coeffs = np.empty((b, width))
+    coeffs = np.empty((m, width))
     coeffs[:, 0] = scale_factor * sig.sum(axis=1)
     coeffs[:, 1:] = -scale_factor * sig
-    return SparseDelta(classes, coeffs, owner, slots, values), bound
+    return SparseDelta(classes, coeffs, owner, slots, values), log_terms
+
+
+def _bound_estimate(terms: np.ndarray, scale_factor: float) -> float:
+    """A batch's mean sampled bound from its rows of ``_sgd_step`` terms."""
+    return scale_factor * float(terms.sum()) / len(terms)
 
 
 def stochastic_gradient(
@@ -190,7 +230,8 @@ def stochastic_gradient(
     In expectation over the rival draw the delta equals the full-batch
     data gradient restricted to the batch; the L2 term is not included.
     With num_sampled = K - 1 the draw is degenerate and the delta is the
-    exact batch gradient.
+    exact batch gradient. Raises ValueError, naming the instance, for a
+    vector that is not a valid row of the model's feature space.
     """
     if not batch:
         raise ConfigError("batch must be non-empty")
@@ -198,19 +239,99 @@ def stochastic_gradient(
     labels = np.array([label for _, label in batch], dtype=np.int64)
     if labels.min() < 0 or labels.max() >= num_classes:
         raise ConfigError("batch label out of range")
-    rivals = sample_rival_classes(rng, labels, num_classes=num_classes, num_sampled=num_sampled)
     indptr = np.cumsum([0] + [vec.indices.size for vec, _ in batch])
-    return _sgd_step(
-        indptr,
-        np.concatenate([vec.indices for vec, _ in batch]),
-        np.concatenate([vec.values for vec, _ in batch]),
-        np.arange(labels.size),
-        np.column_stack((labels, rivals)),
+    indices = np.concatenate([vec.indices for vec, _ in batch])
+    data = np.concatenate([vec.values for vec, _ in batch])
+    _check_arrays(indptr, indices, data, labels, model.num_features, num_classes)
+    rivals = sample_rival_classes(rng, labels, num_classes=num_classes, num_sampled=num_sampled)
+    classes = np.column_stack((labels, rivals))
+    scale_factor = (num_classes - 1) / num_sampled
+    delta, terms = _sgd_step(
+        *_gather(indptr, indices, data, np.arange(labels.size), classes, model.num_features),
+        classes,
         np.ascontiguousarray(model.weights).reshape(-1),
         np.ones(num_classes),
         model.biases,
-        (num_classes - 1) / num_sampled,
+        scale_factor,
+        labels.size,
     )
+    return delta, _bound_estimate(terms, scale_factor)
+
+
+@dataclass
+class _Plan:
+    """The weight-independent work of consecutive minibatches of one epoch.
+
+    Instances ``j * b`` up to ``(j + 1) * b`` form batch j; ``classes``,
+    ``ptr``, ``owner``, ``slots`` and ``values`` cover all of them, laid
+    out by ``_gather``. Batch j wrote the sorted weight rows
+    ``rows[row_ptr[j]:row_ptr[j + 1]]``, and ``row_batch`` names the batch
+    of every entry of ``rows``. ``groups`` lists the first batch of each
+    group, then the batch count. A group is a run of consecutive batches
+    whose rows are pairwise disjoint, grown greedily until the next batch
+    shares a row with one of its batches.
+    """
+
+    classes: np.ndarray
+    ptr: np.ndarray
+    owner: np.ndarray
+    slots: np.ndarray
+    values: np.ndarray
+    rows: np.ndarray
+    row_batch: np.ndarray
+    row_ptr: list[int]
+    groups: list[int]
+
+
+def _plan(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    chosen: np.ndarray,
+    labels: np.ndarray,
+    batch_size: int,
+    num_classes: int,
+    num_features: int,
+    num_sampled: int,
+    class_rng: np.random.Generator,
+) -> _Plan:
+    """Plan the batches of ``chosen``, drawing their rivals batch by batch."""
+    m = chosen.size
+    num_batches = -(-m // batch_size)
+    # one sampler call per batch, in step order, keeps the draws of a
+    # step-by-step loop
+    rivals = [
+        sample_rival_classes(
+            class_rng, labels[i : i + batch_size], num_classes=num_classes,
+            num_sampled=num_sampled,
+        )
+        for i in range(0, m, batch_size)
+    ]
+    classes = np.column_stack((labels, np.concatenate(rivals)))
+    ptr, owner, slots, values = _gather(indptr, indices, data, chosen, classes, num_features)
+
+    # distinct (batch, row) pairs by one sort, ordered by batch, then row
+    keys = np.sort((np.arange(m) // batch_size)[:, None] * num_classes + classes, axis=None)
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    row_batch, rows = np.divmod(keys, num_classes)
+    row_ptr = np.searchsorted(row_batch, np.arange(num_batches + 1)).tolist()
+
+    # for each batch, the latest earlier batch that wrote any of its rows;
+    # a stable sort by row keeps each row's batches ascending
+    by_row = np.argsort(rows, kind="stable")
+    writer, row_sorted = row_batch[by_row], rows[by_row]
+    same = row_sorted[1:] == row_sorted[:-1]
+    previous = np.full(keys.size, -1)
+    previous[1:][same] = writer[:-1][same]
+    latest = np.full(num_batches, -1)
+    np.maximum.at(latest, writer, previous)
+
+    groups = [0]
+    for j, seen in enumerate(latest.tolist()):
+        if seen >= groups[-1]:
+            groups.append(j)
+    groups.append(num_batches)
+    return _Plan(classes, ptr, owner, slots, values, rows, row_batch, row_ptr, groups)
 
 
 def train(
@@ -230,11 +351,18 @@ def train(
     gradient contributions of a minibatch are evaluated at the parameters
     from the start of the step, then applied in one update. Identical
     seed and config reproduce the run bit for bit. Returns a new model;
-    the input model is not modified.
+    the input model is not modified. Raises NumericalError if a score or
+    a final parameter is not finite.
 
-    ``probe``, if given, is called after every step as
+    Consecutive steps that write pairwise disjoint weight rows run as one
+    vectorised group. A step reads only the rows it writes, so the result
+    is bit for bit that of running the steps one at a time.
+
+    ``probe``, if given, is called once per step, in step order, as
     ``probe(step, rows)`` with the sorted array of weight rows the step
-    wrote. It exists for instrumentation and must not mutate anything.
+    wrote. The call comes after the step's update has been applied,
+    possibly together with the other steps of its group. It exists for
+    instrumentation and must not mutate anything.
     """
     if data.num_classes != model.num_classes or data.num_features != model.num_features:
         raise ConfigError(
@@ -265,73 +393,97 @@ def train(
     cum_log = 0.0
     row_log = np.zeros(num_classes)
 
-    def materialize_rows(rows: np.ndarray) -> None:
-        # exp(0) is exactly 1, so rows with nothing pending keep their scale
-        scale[rows] *= np.exp(cum_log - row_log[rows])
-        row_log[rows] = cum_log
-
     trace = TrainTrace()
     t0 = time.perf_counter()
     step = 0
-    batch_size = min(config.batch_size, n)
-    last_logged = -1
+    b = min(config.batch_size, n)
+    chunk = max(1, _CHUNK // b) * b
+    log_every = config.log_every
 
     for epoch in range(config.epochs):
         lr = config.lr0 * config.lr_decay**epoch
         order = shuffle_rng.permutation(n)
-        for start in range(0, n, batch_size):
-            chosen = order[start : start + batch_size]
-            batch_labels = labels_all[chosen]
-            rivals = sample_rival_classes(
-                class_rng, batch_labels, num_classes=num_classes, num_sampled=config.num_sampled
+        for first in range(0, n, chunk):
+            chosen = order[first : first + chunk]
+            plan = _plan(
+                indptr, feat_idx, feat_val, chosen, labels_all[chosen], b, num_classes,
+                model.num_features, config.num_sampled, class_rng,
             )
-            classes = np.column_stack((batch_labels, rivals))
-            touched = np.unique(classes)
-            materialize_rows(touched)
-            delta, bound = _sgd_step(
-                indptr, feat_idx, feat_val, chosen, classes, flat_values, scale, biases,
-                scale_factor,
-            )
+            m, num_batches = chosen.size, plan.groups[-1]
+            # the batch supplies len(batch) of the n data terms, so the
+            # penalty share keeping the step unbiased for the summed
+            # objective is lam * len(batch) / n; each distinct log is taken
+            # as a scalar and accumulated in step order, as a running sum
+            decay = np.full(num_batches, 1.0 - lr * lam * (b / n))
+            decay[-1] = 1.0 - lr * lam * ((m - (num_batches - 1) * b) / n)
+            log_decay = np.full(num_batches, np.log(decay[0]))
+            log_decay[-1] = np.log(decay[-1])
+            cum = np.add.accumulate(np.concatenate(([cum_log], log_decay)))
+            cum_log = cum[-1]
+            row_before = cum[plan.row_batch]
+            row_after = cum[plan.row_batch + 1]
+            row_decay = decay[plan.row_batch]
 
-            if lam > 0.0:
-                # the batch supplies len(chosen) of the n data terms, so the
-                # penalty share keeping the step unbiased for the summed
-                # objective is lam * len(chosen) / n
-                decay = 1.0 - lr * lam * (len(chosen) / n)
-                cum_log += np.log(decay)
-                scale[touched] *= decay
-                row_log[touched] = cum_log
+            for g0, g1 in zip(plan.groups, plan.groups[1:]):
+                # every row below was written by exactly one batch of the
+                # group, which reads no other row, so the group does to each
+                # row what the steps one at a time would, in the same order
+                i0, i1 = g0 * b, min(g1 * b, m)
+                r0, r1 = plan.row_ptr[g0], plan.row_ptr[g1]
+                z0, z1 = plan.ptr[i0], plan.ptr[i1]
+                rows = plan.rows[r0:r1]
+                # exp(0) is exactly 1, so rows with nothing pending keep
+                # their scale
+                scale[rows] *= np.exp(row_before[r0:r1] - row_log[rows])
+                delta, terms = _sgd_step(
+                    plan.ptr[i0 : i1 + 1] - z0, plan.owner[z0:z1] - i0, plan.slots[z0:z1],
+                    plan.values[z0:z1], plan.classes[i0:i1], flat_values, scale, biases,
+                    scale_factor, b,
+                )
+                # an overflowing update shows as a non-finite score or
+                # parameter later, reported as NumericalError
+                with np.errstate(over="ignore", invalid="ignore"):
+                    scale[rows] *= row_decay[r0:r1]
+                    row_log[rows] = row_after[r0:r1]
+                    # np.add.at, not a fancy-index +=, so that instances
+                    # sharing a (class, feature) pair all land
+                    steps = lr * delta.coeffs
+                    row_steps = (steps / scale[delta.classes])[delta.owner]
+                    np.add.at(flat_values, delta.slots, row_steps * delta.values[:, None])
+                    np.add.at(biases, delta.classes, steps)
+                    small = rows[np.abs(scale[rows]) < _RENORM_THRESHOLD]
+                    if small.size:
+                        values[small] *= scale[small, None]
+                        scale[small] = 1.0
 
-            # np.add.at, not a fancy-index +=, so that instances sharing a
-            # (class, feature) pair all land
-            steps = lr * delta.coeffs
-            row_steps = (steps / scale[classes])[delta.owner]
-            np.add.at(flat_values, delta.slots, row_steps * delta.values[:, None])
-            np.add.at(biases, classes, steps)
+                if probe is not None:
+                    for j in range(g0, g1):
+                        probe(step + j, plan.rows[plan.row_ptr[j] : plan.row_ptr[j + 1]])
+                # the first multiple of log_every at or after the group's start
+                first_logged = -(-(step + g0) // log_every) * log_every
+                for logged in range(first_logged, step + g1, log_every):
+                    k = logged - step - g0
+                    bound = _bound_estimate(terms[k * b : (k + 1) * b], scale_factor)
+                    elapsed_ms = (time.perf_counter() - t0) * 1000.0
+                    trace.rows.append((logged, bound, lr, epoch, elapsed_ms))
+                last_terms = terms[(g1 - 1 - g0) * b :]
+            step += num_batches
 
-            small = touched[np.abs(scale[touched]) < _RENORM_THRESHOLD]
-            if small.size:
-                values[small] *= scale[small, None]
-                scale[small] = 1.0
-
-            if probe is not None:
-                probe(step, touched)
-            if step % config.log_every == 0:
-                elapsed_ms = (time.perf_counter() - t0) * 1000.0
-                trace.rows.append((step, bound, lr, epoch, elapsed_ms))
-                last_logged = step
-            step += 1
-
-    if last_logged != step - 1 and step > 0:
+    if (step - 1) % log_every != 0:
         # make sure the trace always reflects the end of the run
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        trace.rows.append((step - 1, bound, lr, epoch, elapsed_ms))
+        trace.rows.append(
+            (step - 1, _bound_estimate(last_terms, scale_factor), lr, epoch, elapsed_ms)
+        )
 
-    materialize_rows(np.arange(num_classes))
-    values *= scale[:, None]
-    final = LinearModel(weights=values, biases=biases)
-    final.check_finite()
-    return final, trace
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale *= np.exp(cum_log - row_log)
+        values *= scale[:, None]
+    if not (np.isfinite(values).all() and np.isfinite(biases).all()):
+        raise NumericalError(
+            "training produced non-finite parameters; lower the learning rate"
+        )
+    return LinearModel(weights=values, biases=biases), trace
 
 
 def _unflatten(x: np.ndarray, num_classes: int, num_features: int) -> LinearModel:

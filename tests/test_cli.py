@@ -132,6 +132,24 @@ class TestEstimate:
         # the trace tracks L1 distance to the exact MLE; it should shrink
         assert values[-1] < values[0]
 
+    @pytest.mark.parametrize("lr", ["inf", "nan"])
+    def test_ove_sgd_non_finite_learning_rate(self, tmp_path, capsys, lr):
+        rc = cli.main(["estimate", "--method", "ove-sgd", "--gen", "powerlaw",
+                       "--K", "20", "--N", "100", "--S", "3", "--lr", lr,
+                       "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "lr0 must be positive and finite" in capsys.readouterr().err
+
+    def test_ove_sgd_overflow_is_numerical_error(self, tmp_path, capsys):
+        # the first step already overflows the scores
+        out = tmp_path / "run"
+        rc = cli.main(["estimate", "--method", "ove-sgd", "--gen", "powerlaw",
+                       "--K", "20", "--N", "100", "--S", "3", "--lr", "1e308",
+                       "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: scores became non-finite")
+        assert not (out / "probs.json").exists()
+
     def test_ove_sgd_rejects_counts(self, tmp_path, capsys):
         rc = cli.main(["estimate", "--method", "ove-sgd",
                        "--counts", "2,3,5", "--out", str(tmp_path)])
@@ -287,6 +305,24 @@ class TestTrain:
                        "--lr", "-1.0", "--out", str(tmp_path / "run")])
         assert rc == 2
         assert "lr0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lr", ["inf", "nan"])
+    def test_non_finite_learning_rate(self, toy_files, tmp_path, capsys, lr):
+        train, _ = toy_files
+        rc = cli.main(["train", "--train", train, "--objective", "ove-sgd",
+                       "--lr", lr, "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "lr0 must be positive and finite" in capsys.readouterr().err
+
+    def test_sgd_overflow_is_numerical_error(self, tmp_path, capsys):
+        # one step of 1e308 * 10 / 2 overflows the weights
+        path = tmp_path / "t.txt"
+        path.write_text("1 1:10.0\n2 2:10.0\n", encoding="utf-8")
+        rc = cli.main(["train", "--train", str(path), "--objective", "ove-sgd",
+                       "--lr", "1e308", "--lam", "0", "--epochs", "1", "--b", "2",
+                       "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: training produced non-finite")
 
     @pytest.mark.parametrize("objective", ["ove", "soft", "ove-sgd"])
     def test_nan_lam(self, toy_files, tmp_path, capsys, objective):

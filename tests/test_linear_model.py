@@ -81,6 +81,16 @@ class TestScores:
         with pytest.raises(ValueError, match="out of range"):
             scores(m, x)
 
+    @pytest.mark.parametrize("index", [-1, 4])
+    @pytest.mark.parametrize("api", [scores, predict, predict_proba])
+    def test_feature_index_out_of_range(self, api, index):
+        # index -1 would read the last feature's column, and predict would
+        # return a class
+        m = LinearModel.zeros(3, 4)
+        x = SparseVector(np.array([index]), np.array([1.0]))
+        with pytest.raises(ValueError, match="row 0: feature index out of range for 4"):
+            api(m, x)
+
     def test_empty_row(self):
         rng = substream(3, "scores")
         m = make_model(rng, 3, 4)

@@ -3,7 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from softmax_bounds.bounds import ConvergenceError
+from softmax_bounds import trainer
+from softmax_bounds.bounds import ConvergenceError, _log_sigmoid_impl, _sigmoid_impl
 from softmax_bounds.config import ConfigError, NumericalError, OptimizerSettings, TrainConfig
 from softmax_bounds.datasets import SparseDataset, SparseVector, gen_toy_5class
 from softmax_bounds.linear_model import (
@@ -22,6 +23,7 @@ from softmax_bounds.linear_model import (
 from softmax_bounds.nonparam import sample_rival_classes
 from softmax_bounds.rng import substream
 from softmax_bounds.trainer import (
+    _RENORM_THRESHOLD,
     TrainTrace,
     _lbfgs,
     fit_full_batch,
@@ -131,6 +133,16 @@ class TestStochasticGradient:
             stochastic_gradient(model, [(vec, 4)], 1, rng)
         with pytest.raises(ConfigError):
             stochastic_gradient(model, [(vec, 0)], 4, rng)
+
+    @pytest.mark.parametrize("index", [-1, 2, 3])
+    def test_rejects_feature_out_of_range(self, index):
+        # index -1 would alias the last weight of W and 2 the next class's
+        # row; the error names the instance within the batch
+        model = LinearModel.zeros(4, 2)
+        good = SparseVector.from_dense(np.array([1.0, 0.0]))
+        bad = SparseVector(np.array([index]), np.array([1.0]))
+        with pytest.raises(ValueError, match="row 1: feature index out of range for 2"):
+            stochastic_gradient(model, [(good, 0), (bad, 1)], 1, substream(0, "draw"))
 
 
 class TestTrain:
@@ -397,6 +409,211 @@ class TestStepKernel:
         with pytest.raises(NumericalError) as exc:
             self.one_step(data, model, seed, lr=0.1, num_sampled=2)
         assert str(exc.value) == expected
+
+
+def reference_train(model, data, config, probe=None):
+    """``train`` one minibatch at a time: the step loop before steps with
+    disjoint rows were fused, kept as the oracle the fused loop must match
+    bit for bit. Returns (weights, biases, trace rows without elapsed_ms)."""
+    n = len(data)
+    mat, labels_all = data.to_csr()
+    indptr, feat_idx, feat_val = mat.indptr, mat.indices, mat.data
+    shuffle_rng = substream(config.seed, "shuffle")
+    class_rng = substream(config.seed, "classes")
+    num_classes, num_features = model.num_classes, model.num_features
+    scale_factor = (num_classes - 1) / config.num_sampled
+    lam = config.lam
+    values = model.weights.copy()
+    flat_values = values.reshape(-1)
+    scale = np.ones(num_classes)
+    biases = model.biases.copy()
+    cum_log = 0.0
+    row_log = np.zeros(num_classes)
+
+    def materialize_rows(rows):
+        scale[rows] *= np.exp(cum_log - row_log[rows])
+        row_log[rows] = cum_log
+
+    rows_logged = []
+    step = 0
+    batch_size = min(config.batch_size, n)
+    last_logged = -1
+    for epoch in range(config.epochs):
+        lr = config.lr0 * config.lr_decay**epoch
+        order = shuffle_rng.permutation(n)
+        for start in range(0, n, batch_size):
+            chosen = order[start : start + batch_size]
+            batch_labels = labels_all[chosen]
+            rivals = sample_rival_classes(
+                class_rng, batch_labels, num_classes=num_classes, num_sampled=config.num_sampled
+            )
+            classes = np.column_stack((batch_labels, rivals))
+            touched = np.unique(classes)
+            materialize_rows(touched)
+
+            b, width = classes.shape
+            starts = indptr[chosen]
+            counts = indptr[chosen + 1] - starts
+            offsets = counts.cumsum() - counts
+            owner = np.repeat(np.arange(b), counts)
+            pos = (starts - offsets)[owner] + np.arange(owner.size)
+            feat_values = feat_val[pos]
+            slots = classes[owner] * num_features + feat_idx[pos][:, None]
+            raw = np.zeros((b, width))
+            nonempty = counts > 0
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms = flat_values[slots] * feat_values[:, None]
+                raw[nonempty] = np.add.reduceat(terms, offsets[nonempty], axis=0)
+                scores = biases[classes] + scale[classes] * raw
+            if not np.isfinite(scores).all():
+                i = int(np.argmin(np.isfinite(scores).all(axis=1)))
+                raise NumericalError(
+                    f"non-finite score encountered (instance {i}, classes {classes[i].tolist()})"
+                )
+            margins = scores[:, :1] - scores[:, 1:]
+            bound = scale_factor * float(_log_sigmoid_impl(margins).sum()) / b
+            sig = _sigmoid_impl(-margins)
+            coeffs = np.empty((b, width))
+            coeffs[:, 0] = scale_factor * sig.sum(axis=1)
+            coeffs[:, 1:] = -scale_factor * sig
+
+            if lam > 0.0:
+                decay = 1.0 - lr * lam * (len(chosen) / n)
+                cum_log += np.log(decay)
+                scale[touched] *= decay
+                row_log[touched] = cum_log
+            steps = lr * coeffs
+            row_steps = (steps / scale[classes])[owner]
+            np.add.at(flat_values, slots, row_steps * feat_values[:, None])
+            np.add.at(biases, classes, steps)
+            small = touched[np.abs(scale[touched]) < _RENORM_THRESHOLD]
+            if small.size:
+                values[small] *= scale[small, None]
+                scale[small] = 1.0
+
+            if probe is not None:
+                probe(step, touched)
+            if step % config.log_every == 0:
+                rows_logged.append((step, bound, lr, epoch))
+                last_logged = step
+            step += 1
+    if last_logged != step - 1:
+        rows_logged.append((step - 1, bound, lr, epoch))
+    materialize_rows(np.arange(num_classes))
+    values *= scale[:, None]
+    return values, biases, rows_logged
+
+
+def sparse_dataset(rng, n, num_classes, num_features, nnz, empty_share=0.0):
+    """Rows of ``nnz`` random features, a share of them with none at all."""
+    dense = np.zeros((n, num_features))
+    for i in range(n):
+        if rng.random() >= empty_share:
+            dense[i, rng.choice(num_features, nnz, replace=False)] = rng.normal(size=nnz)
+    return SparseDataset.from_dense(dense, rng.integers(0, num_classes, size=n), num_classes)
+
+
+def record_kernel_calls(monkeypatch):
+    """Make ``train``'s step kernel append its instance count to the returned list."""
+    calls = []
+    kernel = trainer._sgd_step
+
+    def recording(*args):
+        calls.append(args[4].shape[0])
+        return kernel(*args)
+
+    monkeypatch.setattr(trainer, "_sgd_step", recording)
+    return calls
+
+
+class TestFusedSteps:
+    """``train`` runs disjoint steps as one group, bit-identical to one at a time."""
+
+    @staticmethod
+    def both(data, k, d, cfg, start_scale=0.1):
+        rng = substream(40, "model")
+        model = LinearModel(weights=rng.normal(size=(k, d)) * start_scale,
+                            biases=rng.normal(size=k) * start_scale)
+        seen, expected_seen = [], []
+        got, trace = train(model, data, cfg,
+                           probe=lambda step, rows: seen.append((step, rows.tolist())))
+        w, b, rows = reference_train(
+            model, data, cfg, probe=lambda step, rows: expected_seen.append((step, rows.tolist()))
+        )
+        assert np.array_equal(got.weights, w)
+        assert np.array_equal(got.biases, b)
+        assert [r[:4] for r in trace.rows] == rows
+        assert seen == expected_seen
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 100])
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    @pytest.mark.parametrize("k", [5, 3000])
+    def test_matches_one_step_at_a_time(self, batch_size, lam, k):
+        # 250 rows leave a partial last batch at b = 3 and b = 100; K = 5
+        # with S = 2 makes every group one batch, K = 3000 runs groups of
+        # ten and more steps at b = 1
+        d = 40
+        data = sparse_dataset(substream(41, "data"), 250, k, d, nnz=4, empty_share=0.1)
+        cfg = TrainConfig(batch_size=batch_size, num_sampled=2, lr0=0.2, lr_decay=0.9,
+                          epochs=3, lam=lam, seed=batch_size, log_every=7)
+        self.both(data, k, d, cfg)
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_matches_across_small_chunks(self, batch_size, monkeypatch):
+        # a chunk of 10 instances is 10 steps at b = 1 and 3 steps at b = 3,
+        # so groups, the decay sums and the trace cross many chunk ends
+        monkeypatch.setattr(trainer, "_CHUNK", 10)
+        k, d = 300, 30
+        data = sparse_dataset(substream(42, "data"), 101, k, d, nnz=3, empty_share=0.1)
+        cfg = TrainConfig(batch_size=batch_size, num_sampled=3, lr0=0.3, lr_decay=0.8,
+                          epochs=2, lam=0.5, seed=6, log_every=4)
+        self.both(data, k, d, cfg)
+
+    def test_matches_through_renormalization(self):
+        # each step decays by 1 - 0.99 / 2, so after 15 epochs of 2 steps
+        # every row's scale has fallen below the threshold at least once
+        k, d, n, b = 200, 20, 40, 20
+        cfg = TrainConfig(batch_size=b, num_sampled=5, lr0=0.99, lr_decay=1.0,
+                          epochs=15, lam=1.0, seed=3, log_every=5)
+        assert (1.0 - cfg.lr0 * cfg.lam * b / n) ** (2 * cfg.epochs) < _RENORM_THRESHOLD
+        data = sparse_dataset(substream(43, "data"), n, k, d, nnz=3)
+        self.both(data, k, d, cfg, start_scale=1.0)
+
+    def test_fuses_steps_at_large_k(self, monkeypatch):
+        # at K = 3000 and S = 5 about ten consecutive steps write disjoint
+        # rows; a plan that never fused would make one kernel call per step
+        calls = record_kernel_calls(monkeypatch)
+        k, d, n = 3000, 30, 400
+        data = sparse_dataset(substream(44, "data"), n, k, d, nnz=3)
+        cfg = TrainConfig(batch_size=1, num_sampled=5, lr0=0.1, epochs=2, lam=0.1, seed=2)
+        train(LinearModel.zeros(k, d), data, cfg)
+        assert sum(calls) == 2 * n
+        assert len(calls) < 2 * n / 4
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_overflow_inside_a_group_names_the_failing_step(self, batch_size, monkeypatch):
+        # only instance 0 has feature 0, and every class weights it by 1e308,
+        # so its score overflows whatever its classes; the seed puts it
+        # inside a group, after at least one batch of that group
+        k, d, n = 400, 3, 60
+        x = np.zeros((n, d))
+        x[:, 1] = 1.0
+        x[0] = [10.0, 0.0, 0.0]
+        data = SparseDataset.from_dense(x, substream(45, "labels").integers(0, k, size=n), k)
+        weights = np.zeros((k, d))
+        weights[:, 0] = 1e308
+        model = LinearModel(weights=weights, biases=np.zeros(k))
+        cfg = TrainConfig(batch_size=batch_size, num_sampled=2, lr0=0.1, epochs=1, seed=5)
+
+        calls = record_kernel_calls(monkeypatch)
+        with pytest.raises(NumericalError) as got:
+            train(model, data, cfg)
+        with pytest.raises(NumericalError) as expected:
+            reference_train(model, data, cfg)
+        assert str(got.value) == str(expected.value)
+        position = int(np.flatnonzero(substream(cfg.seed, "shuffle").permutation(n) == 0)[0])
+        group_start = sum(calls[:-1])
+        assert group_start + batch_size <= position < group_start + calls[-1]
 
 
 class TestFitFullBatch:
