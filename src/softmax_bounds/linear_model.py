@@ -31,6 +31,7 @@ from softmax_bounds.bounds import (
     _softplus_impl,
     optimize_alpha_batch,
 )
+from softmax_bounds.config import NumericalError
 from softmax_bounds.datasets import SparseDataset, SparseVector
 
 __all__ = [
@@ -219,6 +220,8 @@ def _blocked_sum(term, num_rows: int, row_len: int) -> float:
 
 
 def _penalty(model: LinearModel, lam: float) -> float:
+    if lam == 0.0:
+        return 0.0
     w = model.weights
     return 0.5 * lam * _blocked_sum(lambda rows: w[rows] ** 2, *w.shape)
 
@@ -240,14 +243,19 @@ def exact_loglik(model: LinearModel, data: SparseDataset, lam: float = 0.0) -> f
 def ove_loglik(model: LinearModel, data: SparseDataset, lam: float = 0.0) -> float:
     """Sum over instances of the one-vs-each lower bound on the log
     likelihood, minus the penalty. Never exceeds ``exact_loglik`` at the
-    same parameters; coincides with it when K = 2."""
+    same parameters; coincides with it when K = 2. Raises NumericalError,
+    without a warning, when overflowed parameters make the sum not finite."""
     f = scores_matrix(model, data)
     y = data.labels()
     _check_labels(y, model.num_classes)
     fy = f[np.arange(len(y)), y]
-    total = _blocked_sum(lambda rows: _log_sigmoid_impl(fy[rows, None] - f[rows]), *f.shape)
-    # the m = y_n term is log sigmoid(0) = -log 2 in every row; drop it
-    return total + len(y) * np.log(2.0) - _penalty(model, lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = _blocked_sum(lambda rows: _log_sigmoid_impl(fy[rows, None] - f[rows]), *f.shape)
+        # the m = y_n term is log sigmoid(0) = -log 2 in every row; drop it
+        total = total + len(y) * np.log(2.0) - _penalty(model, lam)
+    if not np.isfinite(total):
+        raise NumericalError(f"the one-vs-each bound is {total}; the model has overflowed")
+    return total
 
 
 def bouchard_loglik(
@@ -333,7 +341,13 @@ def predict_proba(model: LinearModel, x: SparseVector) -> np.ndarray:
 
 
 def predict_proba_all(model: LinearModel, data: SparseDataset) -> np.ndarray:
+    """Exact softmax rows; NumericalError if a row's top score is not finite."""
     e = scores_matrix(model, data)
-    e -= e.max(axis=1)[:, None]
+    top = e.max(axis=1)
+    if not np.isfinite(top).all():
+        raise NumericalError("non-finite score; the model has overflowed")
+    # a score beyond the float range below its row's top has probability 0
+    with np.errstate(over="ignore"):
+        e -= top[:, None]
     e /= np.exp(e, out=e).sum(axis=1)[:, None]
     return e

@@ -22,7 +22,6 @@ All fitted scores are gauge-fixed to sum to zero over the active classes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -41,7 +40,6 @@ __all__ = [
     "EstimationResult",
     "exact_mle",
     "ove_objective",
-    "ove_objective_pairwise",
     "ove_objective_grad",
     "bouchard_objective",
     "ove_fit",
@@ -49,6 +47,11 @@ __all__ = [
     "ove_sgd_fit",
     "sample_rival_classes",
 ]
+
+# instances whose rivals the doubly stochastic loops draw in one sampler call,
+# rounded down to whole batches, never crossing an epoch: enough to amortize
+# the sampler's fixed cost, few enough that a chunk's plan stays near 1 MB
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -183,30 +186,6 @@ def ove_objective(f, counts: CountVector) -> float:
     ls = _log_sigmoid_impl(arr[:, None] - arr[None, :])
     row_sums = ls.sum(axis=1) - np.diag(ls)
     return float(counts.counts @ row_sums)
-
-
-def ove_objective_pairwise(f, counts: CountVector) -> float:
-    """Same objective written as a sum of two-class likelihoods:
-
-        F(f) = sum_{k > m} [ N_k log sigmoid(f_k - f_m)
-                             + N_m log sigmoid(f_m - f_k) ]
-
-    Each pairwise term is the exact log likelihood of a two-class Bradley-
-    Terry model on the (N_k, N_m) sub-counts, which is why the global
-    maximizer is f = log counts + const. Quadratic in K; used as a test
-    oracle against ``ove_objective``.
-    """
-    arr = np.asarray(f, dtype=np.float64)
-    c = counts.counts
-    if arr.shape != c.shape:
-        raise ValueError("shape mismatch")
-    total = 0.0
-    for k in range(arr.size):
-        for m in range(k):
-            z = float(arr[k] - arr[m])
-            lsp = _log_sigmoid_impl(np.array([z, -z]))
-            total += c[k] * lsp[0] + c[m] * lsp[1]
-    return float(total)
 
 
 def ove_objective_grad(f, counts: CountVector) -> np.ndarray:
@@ -443,6 +422,10 @@ def ove_sgd_fit(
     gradient. Learning rate is ``lr0 * lr_decay**epoch``; the label stream
     is reshuffled every epoch without replacement.
 
+    One sampler call draws the rivals of a chunk of ``_CHUNK`` consecutive
+    observations into (label, rivals...) rows; a step gathers and scatters
+    the scores of its own rows only.
+
     ``objective_trace`` logs (step, mean per-observation sampled bound
     estimate) every ``log_every`` steps. When ``ref_probs`` is given,
     ``error_trace`` logs the L1 distance between softmax(f) and the
@@ -464,6 +447,7 @@ def ove_sgd_fit(
 
     n = labels.size
     b = min(config.batch_size, n)
+    chunk = max(1, _CHUNK // b) * b
     s = config.num_sampled
     scale = (k - 1) / s
     shuffle_rng = substream(config.seed, "shuffle")
@@ -486,25 +470,31 @@ def ove_sgd_fit(
         for epoch in range(config.epochs):
             lr = config.lr0 * config.lr_decay**epoch
             order = shuffle_rng.permutation(n)
-            for start in range(0, n, b):
-                batch = labels[order[start : start + b]]
-                rivals = sample_rival_classes(class_rng, batch, k, s)
-                diff = f[batch][:, None] - f[rivals]
-                sig = _sigmoid_impl(-diff)  # sigmoid(f_rival - f_label)
-                delta = np.bincount(batch, weights=scale * sig.sum(axis=1), minlength=k)
-                delta -= np.bincount(
-                    rivals.ravel(), weights=scale * sig.ravel(), minlength=k
+            for first in range(0, n, chunk):
+                chunk_labels = labels[order[first : first + chunk]]
+                classes = np.column_stack(
+                    (chunk_labels, sample_rival_classes(class_rng, chunk_labels, k, s))
                 )
-                step += 1
-                log_now = step % config.log_every == 0 or step == 1
-                if log_now:
-                    # sampled estimate of the per-observation bound at the
-                    # pre-update iterate, where the gradient was taken
-                    est = float(np.mean(scale * _log_sigmoid_impl(diff).sum(axis=1)))
-                    objective_trace.append((step, est))
-                f += lr * delta
-                if log_now:
-                    record(step)
+                for start in range(0, classes.shape[0], b):
+                    rows = classes[start : start + b]
+                    scores = f[rows]
+                    # sigmoid(f_rival - f_label); the margins are its negated argument
+                    sig = _sigmoid_impl(scores[:, 1:] - scores[:, :1])
+                    coeffs = np.empty(rows.shape)
+                    np.multiply(sig.sum(axis=1), scale, out=coeffs[:, 0])
+                    np.multiply(sig, -scale, out=coeffs[:, 1:])
+                    delta = np.bincount(rows.ravel(), weights=coeffs.ravel(), minlength=k)
+                    step += 1
+                    log_now = step % config.log_every == 0 or step == 1
+                    if log_now:
+                        # sampled estimate of the per-observation bound at the
+                        # pre-update iterate, where the gradient was taken
+                        margins = scores[:, :1] - scores[:, 1:]
+                        est = float(np.mean(scale * _log_sigmoid_impl(margins).sum(axis=1)))
+                        objective_trace.append((step, est))
+                    f += lr * delta
+                    if log_now:
+                        record(step)
     if not np.isfinite(f).all():
         raise NumericalError("scores became non-finite; lower the learning rate")
     if step % config.log_every != 0 and step != 1:

@@ -13,9 +13,13 @@ import hashlib
 
 import numpy as np
 
+from softmax_bounds.config import ConfigError
+
 
 def substream(seed: int, name: str) -> np.random.Generator:
-    """Return the PCG64 generator for (seed, name)."""
+    """Return the PCG64 generator for (seed, name); the seed must be >= 0."""
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     digest = hashlib.blake2s(name.encode("utf-8"), digest_size=8).digest()
     key = int.from_bytes(digest, "little")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(key,))

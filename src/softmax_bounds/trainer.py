@@ -10,11 +10,12 @@ independent of K and D.
 
 At small b that arithmetic is tiny next to the fixed cost of a numpy call,
 so ``train`` plans the weight-independent index work of a chunk of steps in
-a few vectorised passes, and runs each maximal run of consecutive steps
-whose touched rows are pairwise disjoint as one kernel call. A step reads
-only the rows it writes, so the fused run is bit-identical to the steps one
-at a time. At b = 1 such a run holds about sqrt(pi K / 2) / (S + 1) steps,
-so the cost per instance falls as K grows.
+a few vectorised passes, with one sampler call for the chunk's rivals, and
+runs each maximal run of consecutive steps whose touched rows are pairwise
+disjoint as one kernel call. A step reads only the rows it writes, so the
+fused run is bit-identical to the steps one at a time. At b = 1 such a run
+holds about sqrt(pi K / 2) / (S + 1) steps, so the cost per instance falls
+as K grows.
 
 L2 regularization would break that cost model (decay touches every
 parameter), so it is applied lazily: weights are stored as
@@ -51,7 +52,7 @@ from softmax_bounds.linear_model import (
     optimal_alphas,
     ove_loglik,
 )
-from softmax_bounds.nonparam import sample_rival_classes
+from softmax_bounds.nonparam import _CHUNK, sample_rival_classes
 from softmax_bounds.rng import substream
 
 __all__ = [
@@ -65,11 +66,6 @@ __all__ = [
 # fold a row's scale into its values once it drifts this small, so long
 # untouched stretches under strong decay cannot underflow the scale
 _RENORM_THRESHOLD = 1e-6
-
-# instances whose index work train plans at once, rounded down to whole
-# batches: enough to amortize each planning pass's numpy calls, few enough
-# that a plan's arrays stay near 1 MB
-_CHUNK = 1024
 
 
 @dataclass
@@ -295,19 +291,12 @@ def _plan(
     num_sampled: int,
     class_rng: np.random.Generator,
 ) -> _Plan:
-    """Plan the batches of ``chosen``, drawing their rivals batch by batch."""
+    """Plan the batches of ``chosen``, drawing all their rivals in one sampler call."""
     m = chosen.size
     num_batches = -(-m // batch_size)
-    # one sampler call per batch, in step order, keeps the draws of a
-    # step-by-step loop
-    rivals = [
-        sample_rival_classes(
-            class_rng, labels[i : i + batch_size], num_classes=num_classes,
-            num_sampled=num_sampled,
-        )
-        for i in range(0, m, batch_size)
-    ]
-    classes = np.column_stack((labels, np.concatenate(rivals)))
+    classes = np.column_stack(
+        (labels, sample_rival_classes(class_rng, labels, num_classes, num_sampled))
+    )
     ptr, owner, slots, values = _gather(indptr, indices, data, chosen, classes, num_features)
 
     # distinct (batch, row) pairs by one sort, ordered by batch, then row

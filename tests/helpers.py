@@ -1,4 +1,4 @@
-"""Dataset builders shared by the test modules."""
+"""Dataset builders and probes shared by the test modules."""
 
 from softmax_bounds.datasets import SparseDataset, SparseVector
 
@@ -17,3 +17,17 @@ def rows_of(data):
     mat, labels = data.to_csr()
     bounds = zip(mat.indptr[:-1], mat.indptr[1:], labels)
     return [(SparseVector(mat.indices[a:b], mat.data[a:b]), int(y)) for a, b, y in bounds]
+
+
+def record_sampler_calls(monkeypatch, module):
+    """Make ``module``'s rival sampler append each call's row count to the
+    returned list."""
+    calls = []
+    sampler = module.sample_rival_classes
+
+    def recording(rng, labels, *args, **kwargs):
+        calls.append(len(labels))
+        return sampler(rng, labels, *args, **kwargs)
+
+    monkeypatch.setattr(module, "sample_rival_classes", recording)
+    return calls

@@ -43,6 +43,7 @@ from softmax_bounds.linear_model import (
 )
 from softmax_bounds.metrics import error_rate, nlpd, param_norm, smooth_trace
 from softmax_bounds.nonparam import (
+    _CHUNK,
     CountVector,
     bouchard_fit,
     exact_mle,
@@ -418,7 +419,8 @@ def test_9_extreme_scale_sparse_training():
 
     Every step may touch only the rows of the instance's label and its
     sampled rivals; the probe replays the shuffle and class-sampling
-    streams independently and checks the touched set exactly.
+    streams independently, drawing each chunk's rivals in one sampler call
+    as ``train`` does, and checks the touched set exactly.
     """
     k, d, n, s = 3000, 50_000, 100_000, 5
     data = _synthetic_extreme(k, d, n)
@@ -426,15 +428,18 @@ def test_9_extreme_scale_sparse_training():
 
     shuffle_replay = substream(11, "shuffle")
     class_replay = substream(11, "classes")
-    state = {"order": None, "mismatches": 0, "max_touched": 0, "steps": 0}
+    state = {"order": None, "rivals": None, "mismatches": 0, "max_touched": 0, "steps": 0}
 
     def probe(step, touched):
         i = step % n
         if i == 0:
             state["order"] = shuffle_replay.permutation(n)
+        if i % _CHUNK == 0:  # at b = 1 a chunk is _CHUNK steps
+            chunk_labels = labels[state["order"][i : i + _CHUNK]]
+            state["rivals"] = sample_rival_classes(class_replay, chunk_labels, k, s)
         label = labels[state["order"][i]]
-        rivals = sample_rival_classes(class_replay, np.array([label]), k, s)
-        expected = np.unique(np.concatenate(([label], rivals.ravel())))
+        rivals = state["rivals"][i % _CHUNK]
+        expected = np.unique(np.concatenate(([label], rivals)))
         if not np.array_equal(np.sort(np.asarray(touched)), expected):
             state["mismatches"] += 1
         state["max_touched"] = max(state["max_touched"], len(touched))

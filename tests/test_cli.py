@@ -150,6 +150,16 @@ class TestEstimate:
         assert capsys.readouterr().err.startswith("error: scores became non-finite")
         assert not (out / "probs.json").exists()
 
+    @pytest.mark.parametrize("method, seed", [("exact", "-3"), ("ove-sgd", "-1")])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, method, seed):
+        rc = cli.main(["estimate", "--method", method, "--gen", "powerlaw",
+                       "--K", "5", "--N", "10", "--S", "2", "--seed", seed,
+                       "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: seed must be a non-negative integer, got {seed}\n"
+        )
+
     def test_ove_sgd_rejects_counts(self, tmp_path, capsys):
         rc = cli.main(["estimate", "--method", "ove-sgd",
                        "--counts", "2,3,5", "--out", str(tmp_path)])
@@ -323,6 +333,24 @@ class TestTrain:
                        "--out", str(tmp_path / "run")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: training produced non-finite")
+
+    def test_huge_learning_rate_is_numerical_error(self, tmp_path, capsys):
+        # one step of 1e308 leaves finite weights whose scores 2 * w overflow,
+        # so the evaluation, not the training loop, meets the infinity
+        path = tmp_path / "t.txt"
+        path.write_text("1 1:2.0\n2 2:2.0\n", encoding="utf-8")
+        rc = cli.main(["train", "--train", str(path), "--objective", "ove-sgd",
+                       "--lr", "1e308", "--lam", "0", "--epochs", "1", "--b", "2",
+                       "--S", "1", "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: the one-vs-each bound is nan")
+
+    def test_negative_seed_is_config_error(self, toy_files, tmp_path, capsys):
+        train, _ = toy_files
+        rc = cli.main(["train", "--train", train, "--objective", "ove-sgd",
+                       "--seed", "-2", "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -2\n"
 
     @pytest.mark.parametrize("objective", ["ove", "soft", "ove-sgd"])
     def test_nan_lam(self, toy_files, tmp_path, capsys, objective):

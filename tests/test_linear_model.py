@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from softmax_bounds.bounds import _log_sigmoid_impl
+from softmax_bounds.config import NumericalError
 from softmax_bounds.datasets import SparseDataset, SparseVector
 from softmax_bounds.linear_model import (
     KIND_BOUCHARD,
@@ -429,6 +430,42 @@ class TestDenseTail:
         assert ove_loglik(m, data, lam) == pytest.approx(
             _ove_loglik_oracle(m, data, lam), rel=1e-12
         )
+
+    @staticmethod
+    def huge_model(label_weight, rival_weight):
+        """Two one-feature instances of class 0 whose scores 2 * w overflow
+        where a weight is 1e308; class 1 weighs the feature by the other."""
+        data = SparseDataset.from_dense(np.full((2, 1), 2.0), np.array([0, 0]), 2)
+        weights = np.array([[label_weight], [rival_weight]])
+        return LinearModel(weights=weights, biases=np.zeros(2)), data
+
+    @pytest.mark.parametrize("rival_weight", [-1e308, 1e308])
+    def test_overflowed_label_score_is_numerical_error(self, rival_weight):
+        m, data = self.huge_model(1e308, rival_weight)
+        with pytest.raises(NumericalError, match="bound is nan"):
+            ove_loglik(m, data)
+        with pytest.raises(NumericalError, match="non-finite score"):
+            predict_proba_all(m, data)
+
+    def test_overflowed_rival_score_is_numerical_error(self):
+        # a finite label score below an infinite rival: the bound is -inf
+        m, data = self.huge_model(1.0, 1e308)
+        with pytest.raises(NumericalError, match="bound is -inf"):
+            ove_loglik(m, data)
+        with pytest.raises(NumericalError, match="non-finite score"):
+            predict_proba_all(m, data)
+
+    def test_margin_beyond_float_range_is_finite(self):
+        # 2 * 1e308 - 2 * (-1e308) overflows the margin to +inf, whose
+        # log-sigmoid is 0 and whose probability is exactly 1
+        m, data = self.huge_model(1e308 / 4, -1e308 / 1.5)
+        assert ove_loglik(m, data) == 0.0
+        assert np.array_equal(predict_proba_all(m, data), [[1.0, 0.0], [1.0, 0.0]])
+
+    def test_zero_lam_ignores_weights_whose_square_overflows(self):
+        # ||W||^2 overflows, but with lam = 0 the penalty is 0, not 0 * inf
+        m, data = self.huge_model(1e160, -1e160)
+        assert ove_loglik(m, data, lam=0.0) == 0.0
 
     @pytest.mark.parametrize("k", [6, 1000])
     def test_predict_proba_all_is_exact_softmax(self, k):

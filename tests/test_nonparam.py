@@ -15,6 +15,8 @@ The load-bearing facts checked here:
 import numpy as np
 import pytest
 
+from softmax_bounds import nonparam
+from softmax_bounds.bounds import _log_sigmoid_impl, _sigmoid_impl
 from softmax_bounds.config import ConfigError, OptimizerSettings, TrainConfig
 from softmax_bounds.nonparam import (
     CountVector,
@@ -24,11 +26,36 @@ from softmax_bounds.nonparam import (
     ove_fit,
     ove_objective,
     ove_objective_grad,
-    ove_objective_pairwise,
     ove_sgd_fit,
     sample_rival_classes,
 )
 from softmax_bounds.rng import substream
+
+from helpers import record_sampler_calls
+
+
+def ove_objective_pairwise(f, counts: CountVector) -> float:
+    """``ove_objective`` written as a sum of two-class likelihoods:
+
+        F(f) = sum_{k > m} [ N_k log sigmoid(f_k - f_m)
+                             + N_m log sigmoid(f_m - f_k) ]
+
+    Each pairwise term is the exact log likelihood of a two-class Bradley-
+    Terry model on the (N_k, N_m) sub-counts, which is why the global
+    maximizer is f = log counts + const. Quadratic in K; the oracle that
+    ``ove_objective`` must match.
+    """
+    arr = np.asarray(f, dtype=np.float64)
+    c = counts.counts
+    if arr.shape != c.shape:
+        raise ValueError("shape mismatch")
+    total = 0.0
+    for k in range(arr.size):
+        for m in range(k):
+            z = float(arr[k] - arr[m])
+            lsp = _log_sigmoid_impl(np.array([z, -z]))
+            total += c[k] * lsp[0] + c[m] * lsp[1]
+    return float(total)
 
 
 class TestCountVector:
@@ -395,6 +422,91 @@ class TestRivalSampling:
             sample_rival_classes(rng, np.array([0]), 5, 5)
         with pytest.raises(ConfigError):
             sample_rival_classes(rng, np.array([0]), 5, 0)
+
+
+def reference_ove_sgd_fit(labels, num_classes, config, ref_probs):
+    """``ove_sgd_fit`` with the per-step arithmetic it had before its steps
+    worked on one (label, rivals) class array: two gathers and two
+    bincounts. The rivals come from the public sampler, one call per chunk
+    of ``nonparam._CHUNK`` observations rounded down to whole batches.
+    Returns (f_hat, objective_trace, error_trace)."""
+    k, n = num_classes, labels.size
+    b = min(config.batch_size, n)
+    chunk = max(1, nonparam._CHUNK // b) * b
+    s = config.num_sampled
+    scale = (k - 1) / s
+    shuffle_rng = substream(config.seed, "shuffle")
+    class_rng = substream(config.seed, "classes")
+    f = np.zeros(k)
+    objective_trace, error_trace = [], []
+
+    def record(step):
+        e = np.exp(f - f.max())
+        error_trace.append((step, float(np.abs(e / e.sum() - ref_probs).sum())))
+
+    step = 0
+    for epoch in range(config.epochs):
+        lr = config.lr0 * config.lr_decay**epoch
+        order = shuffle_rng.permutation(n)
+        for start in range(0, n, b):
+            if start % chunk == 0:
+                chunk_rivals = sample_rival_classes(
+                    class_rng, labels[order[start : start + chunk]], k, s
+                )
+            batch = labels[order[start : start + b]]
+            rivals = chunk_rivals[start % chunk : start % chunk + b]
+            diff = f[batch][:, None] - f[rivals]
+            sig = _sigmoid_impl(-diff)
+            delta = np.bincount(batch, weights=scale * sig.sum(axis=1), minlength=k)
+            delta -= np.bincount(rivals.ravel(), weights=scale * sig.ravel(), minlength=k)
+            step += 1
+            log_now = step % config.log_every == 0 or step == 1
+            if log_now:
+                est = float(np.mean(scale * _log_sigmoid_impl(diff).sum(axis=1)))
+                objective_trace.append((step, est))
+            f += lr * delta
+            if log_now:
+                record(step)
+    if step % config.log_every != 0 and step != 1:
+        record(step)
+    return f - f.mean(), objective_trace, error_trace
+
+
+class TestOveSgdChunkedDraws:
+    """``ove_sgd_fit`` draws a chunk's rivals at once and steps on its class array."""
+
+    @pytest.mark.parametrize(
+        "batch_size, k, s, chunk",
+        [(1, 50, 5, None), (7, 50, 5, None), (100, 50, 5, None), (7, 8, 3, None),
+         (3, 50, 5, 10), (1, 50, 5, 10)],
+    )
+    def test_matches_two_bincount_oracle(self, batch_size, k, s, chunk, monkeypatch):
+        # 2503 observations leave a partial last batch at b = 7 and b = 100
+        # and a partial last chunk; K = 8 with S = 3 takes the sampler's
+        # permutation branch, K = 50 with S = 5 its rejection branch
+        if chunk is not None:
+            monkeypatch.setattr(nonparam, "_CHUNK", chunk)
+        labels = substream(12, "labels").integers(0, k, size=2503)
+        ref = np.bincount(labels, minlength=k) / labels.size
+        cfg = TrainConfig(batch_size=batch_size, num_sampled=s, lr0=0.01, lr_decay=0.9,
+                          epochs=2, seed=batch_size, log_every=13)
+        got = ove_sgd_fit(labels, k, cfg, ref_probs=ref)
+        f, objective_trace, error_trace = reference_ove_sgd_fit(labels, k, cfg, ref)
+        np.testing.assert_allclose(got.f_hat, f, rtol=1e-12)
+        for got_rows, want_rows in ((got.objective_trace, objective_trace),
+                                    (got.error_trace, error_trace)):
+            assert [i for i, _ in got_rows] == [i for i, _ in want_rows]
+            np.testing.assert_allclose([v for _, v in got_rows], [v for _, v in want_rows],
+                                       rtol=1e-12)
+
+    def test_one_sampler_call_per_chunk(self, monkeypatch):
+        # at b = 100 a chunk is 1000 observations, so 2500 are two whole
+        # chunks and a partial one per epoch
+        calls = record_sampler_calls(monkeypatch, nonparam)
+        labels = substream(13, "labels").integers(0, 50, size=2500)
+        cfg = TrainConfig(batch_size=100, num_sampled=5, lr0=0.01, epochs=2, seed=1)
+        ove_sgd_fit(labels, 50, cfg)
+        assert calls == 2 * [1000, 1000, 500]
 
 
 class TestOveSgdFit:

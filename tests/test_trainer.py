@@ -31,7 +31,7 @@ from softmax_bounds.trainer import (
     train,
 )
 
-from helpers import dense_dataset, rows_of
+from helpers import dense_dataset, record_sampler_calls, rows_of
 
 
 @pytest.fixture(scope="module")
@@ -414,7 +414,9 @@ class TestStepKernel:
 def reference_train(model, data, config, probe=None):
     """``train`` one minibatch at a time: the step loop before steps with
     disjoint rows were fused, kept as the oracle the fused loop must match
-    bit for bit. Returns (weights, biases, trace rows without elapsed_ms)."""
+    bit for bit. It draws the rivals as ``train`` does, one sampler call per
+    chunk of ``trainer._CHUNK`` instances rounded down to whole batches.
+    Returns (weights, biases, trace rows without elapsed_ms)."""
     n = len(data)
     mat, labels_all = data.to_csr()
     indptr, feat_idx, feat_val = mat.indptr, mat.indices, mat.data
@@ -437,16 +439,20 @@ def reference_train(model, data, config, probe=None):
     rows_logged = []
     step = 0
     batch_size = min(config.batch_size, n)
+    chunk = max(1, trainer._CHUNK // batch_size) * batch_size
     last_logged = -1
     for epoch in range(config.epochs):
         lr = config.lr0 * config.lr_decay**epoch
         order = shuffle_rng.permutation(n)
         for start in range(0, n, batch_size):
+            if start % chunk == 0:
+                chunk_rivals = sample_rival_classes(
+                    class_rng, labels_all[order[start : start + chunk]],
+                    num_classes=num_classes, num_sampled=config.num_sampled,
+                )
             chosen = order[start : start + batch_size]
             batch_labels = labels_all[chosen]
-            rivals = sample_rival_classes(
-                class_rng, batch_labels, num_classes=num_classes, num_sampled=config.num_sampled
-            )
+            rivals = chunk_rivals[start % chunk : start % chunk + batch_size]
             classes = np.column_stack((batch_labels, rivals))
             touched = np.unique(classes)
             materialize_rows(touched)
@@ -589,6 +595,16 @@ class TestFusedSteps:
         train(LinearModel.zeros(k, d), data, cfg)
         assert sum(calls) == 2 * n
         assert len(calls) < 2 * n / 4
+
+    @pytest.mark.parametrize("batch_size, chunk", [(1, 1024), (3, 1023)])
+    def test_one_sampler_call_per_chunk(self, batch_size, chunk, monkeypatch):
+        # 2500 instances are two whole chunks and a partial one per epoch
+        calls = record_sampler_calls(monkeypatch, trainer)
+        k, d, n = 300, 10, 2500
+        data = sparse_dataset(substream(46, "data"), n, k, d, nnz=2)
+        cfg = TrainConfig(batch_size=batch_size, num_sampled=5, lr0=0.1, epochs=2, seed=4)
+        train(LinearModel.zeros(k, d), data, cfg)
+        assert calls == 2 * [chunk, chunk, n - 2 * chunk]
 
     @pytest.mark.parametrize("batch_size", [1, 3])
     def test_overflow_inside_a_group_names_the_failing_step(self, batch_size, monkeypatch):
