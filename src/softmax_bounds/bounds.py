@@ -257,104 +257,67 @@ def bouchard_log_bound(f, k: int, alpha: float) -> float:
     return float((arr[k] - alpha) - np.sum(_softplus_impl(arr - alpha)))
 
 
-def _alpha_bracket(arr: np.ndarray) -> tuple[float, float]:
-    # r(alpha) = sum_m sigmoid(f_m - alpha) - 1 is strictly decreasing.
-    # At alpha = min(f) - log K: each term >= sigmoid(log K) = K/(K+1),
-    # so the sum >= K^2/(K+1) > 1 for K >= 2.
-    # At alpha = max(f) + log K: each term <= sigmoid(-log K) = 1/(K+1),
-    # so the sum <= K/(K+1) < 1.
-    k = arr.size
-    return float(arr.min() - np.log(k)), float(arr.max() + np.log(k))
-
-
 def optimize_alpha(f, tol: float = ALPHA_TOL, max_iter: int = ALPHA_MAX_ITER) -> float:
-    """Minimize the LSE upper bound over alpha.
-
-    The optimum solves sum_m sigmoid(f_m - alpha) = 1, a strictly decreasing
-    scalar equation. Bisection from a guaranteed bracket, then Newton polish.
-    Raises ConvergenceError if |residual| > tol after max_iter iterations.
-    """
-    arr = _as_scores(f)
-    lo, hi = _alpha_bracket(arr)
-
-    def residual(a: float) -> float:
-        return float(np.sum(_sigmoid_impl(arr - a)) - 1.0)
-
-    alpha = 0.5 * (lo + hi)
-    used = 0
-    # bisection: cheap, guaranteed; stop once the bracket is tight
-    while used < max_iter:
-        alpha = 0.5 * (lo + hi)
-        r = residual(alpha)
-        used += 1
-        if abs(r) <= tol:
-            return alpha
-        if r > 0.0:
-            lo = alpha
-        else:
-            hi = alpha
-        if hi - lo < 1e-13 * max(1.0, abs(alpha)):
-            break
-    # Newton polish: residual' = -sum sigmoid'(f - alpha)
-    while used < max_iter:
-        s = _sigmoid_impl(arr - alpha)
-        r = float(np.sum(s) - 1.0)
-        if abs(r) <= tol:
-            return alpha
-        slope = float(np.sum(s * (1.0 - s)))
-        if slope <= 0.0:
-            break
-        alpha += r / slope
-        used += 1
-    r = residual(alpha)
-    if abs(r) <= tol:
-        return alpha
-    raise ConvergenceError(
-        f"alpha solve stalled: |sum sigmoid(f - alpha) - 1| = {abs(r):.3e} > {tol:.1e} "
-        f"after {used} iterations"
-    )
+    """Minimize the LSE upper bound over alpha: ``optimize_alpha_batch`` of
+    the one score vector ``f``."""
+    return float(optimize_alpha_batch(_as_scores(f)[None], tol, max_iter)[0])
 
 
 def optimize_alpha_batch(
     scores: np.ndarray, tol: float = ALPHA_TOL, max_iter: int = ALPHA_MAX_ITER
 ) -> np.ndarray:
-    """Row-wise ``optimize_alpha`` for a matrix of score vectors.
+    """Row-wise minimizer of the LSE upper bound for a matrix of score vectors.
 
-    ``scores`` has shape (N, K); returns alpha of shape (N,). Same bracket
-    and tolerance as the scalar version, vectorized bisection plus a Newton
-    polish so large N stays cheap.
+    ``scores`` has shape (N, K); returns alpha of shape (N,). Each optimum
+    solves r(alpha) = sum_m sigmoid(f_m - alpha) - 1 = 0, a strictly
+    decreasing equation, by Newton steps from LSE(f) inside a bracket that
+    every residual tightens. A step that would leave the bracket, or that
+    is more than half the previous step (a flat stretch of r), bisects
+    instead. Once every row meets ``tol`` the solve takes one more step,
+    which Newton's quadratic convergence carries to the float floor, and
+    returns each row's best evaluated alpha. Raises ConvergenceError if
+    some |residual| > tol after ``max_iter`` evaluations.
     """
     arr = np.asarray(scores, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] < 2:
         raise ValueError(f"expected an (N, K>=2) score matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("score matrix contains non-finite entries")
-    logk = np.log(arr.shape[1])
-    lo = arr.min(axis=1) - logk
-    hi = arr.max(axis=1) + logk
-    alpha = 0.5 * (lo + hi)
-    # ~60 halvings shrink any realistic bracket below Newton's basin
-    n_bisect = min(max_iter, 60)
-    for _ in range(n_bisect):
-        alpha = 0.5 * (lo + hi)
-        r = _sigmoid_impl(arr - alpha[:, None]).sum(axis=1) - 1.0
-        gt = r > 0.0
-        lo = np.where(gt, alpha, lo)
-        hi = np.where(gt, hi, alpha)
-    for _ in range(max_iter - n_bisect):
-        s = _sigmoid_impl(arr - alpha[:, None])
-        r = s.sum(axis=1) - 1.0
-        if np.all(np.abs(r) <= tol):
-            break
-        slope = (s * (1.0 - s)).sum(axis=1)
-        step = r / np.maximum(slope, 1e-300)
-        # Newton from a bisection-tightened point; clip to the bracket
-        alpha = np.clip(alpha + step, lo, hi)
-    r = _sigmoid_impl(arr - alpha[:, None]).sum(axis=1) - 1.0
-    bad = np.abs(r) > tol
+    # r > 0 at min(f) - log K: each term >= sigmoid(log K) = K/(K+1), and
+    # r < 0 at LSE(f): each term < exp(f_m - LSE(f)), and those sum to 1.
+    # The solve starts at LSE(f), the root's limit when every term is small.
+    lo = arr.min(axis=1) - np.log(arr.shape[1])
+    top = arr.max(axis=1)
+    hi = top + np.log(np.exp(arr - top[:, None]).sum(axis=1))
+    alpha = hi
+    last_step = hi - lo
+    best = alpha
+    best_r = np.full(alpha.shape, np.inf)
+    polishing = False
+    # a flat r gives a zero slope, whose inf or nan step fails the bracket test
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            s = _sigmoid_impl(arr - alpha[:, None])
+            r = s.sum(axis=1) - 1.0
+            size = np.abs(r)
+            best = np.where(size < best_r, alpha, best)
+            best_r = np.minimum(size, best_r)
+            met = bool((best_r <= tol).all())
+            if met and polishing:
+                break
+            polishing = met
+            lo = np.where(r > 0.0, alpha, lo)
+            hi = np.where(r < 0.0, alpha, hi)
+            step = r / (s * (1.0 - s)).sum(axis=1)
+            newton = alpha + step
+            bisect = ~((newton > lo) & (newton < hi)) | (np.abs(step) > 0.5 * last_step)
+            alpha = np.where(bisect, 0.5 * (lo + hi), newton)
+            last_step = np.abs(np.where(bisect, 0.5 * (hi - lo), step))
+    bad = best_r > tol
     if np.any(bad):
-        worst = float(np.max(np.abs(r)))
         raise ConvergenceError(
-            f"alpha solve stalled on {int(bad.sum())} rows; worst residual {worst:.3e}"
+            f"alpha solve stalled on {int(bad.sum())} rows: worst "
+            f"|sum sigmoid(f - alpha) - 1| = {float(np.max(best_r)):.3e} > {tol:.1e} "
+            f"after {max_iter} iterations"
         )
-    return alpha
+    return best

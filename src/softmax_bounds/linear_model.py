@@ -18,7 +18,6 @@ comparable across objectives.
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 from dataclasses import dataclass
@@ -48,7 +47,6 @@ __all__ = [
     "bouchard_loglik",
     "full_gradient",
     "predict",
-    "predict_all",
     "predict_proba",
     "predict_proba_all",
 ]
@@ -101,9 +99,6 @@ class LinearModel:
     def zeros(cls, num_classes: int, num_features: int) -> "LinearModel":
         return cls(np.zeros((num_classes, num_features)), np.zeros(num_classes))
 
-    def copy(self) -> "LinearModel":
-        return LinearModel(self.weights.copy(), self.biases.copy())
-
     # binary checkpoint: magic, u32 version, u64 K, u64 D, then row-major
     # weights and biases as little-endian float64
     def save(self, path: str) -> None:
@@ -135,19 +130,6 @@ class LinearModel:
             if fh.readinto(params.data) != params.nbytes:
                 raise CheckpointError(f"{path}: checkpoint changed while being read")
         return cls(params[: k * d].reshape(k, d), params[k * d :])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "version": _VERSION,
-            "num_classes": self.num_classes,
-            "num_features": self.num_features,
-            "weights": self.weights.tolist(),
-            "biases": self.biases.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "LinearModel":
-        return cls(np.array(obj["weights"]), np.array(obj["biases"]))
 
 
 @dataclass
@@ -326,11 +308,6 @@ def full_gradient(
 def predict(model: LinearModel, x: SparseVector) -> int:
     """Argmax class; ties resolve to the lowest index."""
     return int(np.argmax(scores(model, x)))
-
-
-def predict_all(model: LinearModel, data: SparseDataset) -> np.ndarray:
-    f = scores_matrix(model, data)
-    return np.argmax(f, axis=1)
 
 
 def predict_proba(model: LinearModel, x: SparseVector) -> np.ndarray:

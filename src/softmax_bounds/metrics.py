@@ -19,7 +19,6 @@ from softmax_bounds.linear_model import LinearModel
 
 __all__ = [
     "MethodReport",
-    "gauge_fix",
     "param_norm",
     "error_rate",
     "nlpd",

@@ -8,8 +8,8 @@ instead of the exact log likelihood, the lower-bound surrogates from
 
 * ``ove_fit``      -- sum_k N_k * ove_log_bound(f, k), full-batch ascent
 * ``bouchard_fit`` -- sum_k N_k * bouchard_log_bound(f, k, alpha), one
-                      shared alpha, alternating exact alpha solves with
-                      ascent steps on f
+                      shared alpha, maximized over alpha exactly at every
+                      f by the same ascent as ``ove_fit``
 * ``ove_sgd_fit``  -- the OVE surrogate again, but optimized from a label
                       stream with doubly stochastic SGD: minibatches over
                       observations and a subsample of rival classes
@@ -31,6 +31,7 @@ from softmax_bounds.bounds import (
     _sigmoid_impl,
     _softplus_impl,
     optimize_alpha,
+    ove_log_bound_all,
 )
 from softmax_bounds.config import ConfigError, NumericalError, OptimizerSettings, TrainConfig
 from softmax_bounds.rng import substream
@@ -181,11 +182,7 @@ def ove_objective(f, counts: CountVector) -> float:
         raise ValueError(
             f"score shape {arr.shape} does not match {counts.num_classes} classes"
         )
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("scores must be finite")
-    ls = _log_sigmoid_impl(arr[:, None] - arr[None, :])
-    row_sums = ls.sum(axis=1) - np.diag(ls)
-    return float(counts.counts @ row_sums)
+    return float(counts.counts @ ove_log_bound_all(arr))
 
 
 def ove_objective_grad(f, counts: CountVector) -> np.ndarray:
@@ -293,13 +290,15 @@ def bouchard_fit(
 ) -> EstimationResult:
     """Maximize the shared-alpha variational bound.
 
-    Alternates an exact solve for alpha (scalar monotone equation) with one
-    backtracked ascent step on f. Both steps increase the objective, which
-    is jointly concave, so the alternation converges to the joint optimum:
-    sigmoid(f_k - alpha) = N_k / N, i.e. fitted probabilities proportional
-    to N_k / (N - N_k). Since x / (N - x) is convex, the fit systematically
-    exaggerates the exact MLE: frequent classes gain mass, rare classes
-    lose it (for K = 2 the fitted odds are the squared empirical odds).
+    Runs ``_ascend`` on the profile objective P(f) = max_alpha G(f, alpha),
+    with alpha*(f) from ``optimize_alpha``. Its gradient is the envelope
+    gradient N_k - N sigmoid(f_k - alpha*(f)), because dG/dalpha vanishes at
+    alpha*. G is jointly concave, so P is concave and its maximizer is the
+    joint optimum: sigmoid(f_k - alpha) = N_k / N, i.e. fitted probabilities
+    proportional to N_k / (N - N_k). Since x / (N - x) is convex, the fit
+    systematically exaggerates the exact MLE: frequent classes gain mass,
+    rare classes lose it (for K = 2 the fitted odds are the squared
+    empirical odds).
     """
     settings.validate()
     c_full = counts.counts
@@ -312,58 +311,14 @@ def bouchard_fit(
     c = sub.counts.astype(np.float64)
     n = c.sum()
 
-    f = np.zeros(active.size)
-    alpha = optimize_alpha(f)
+    def vg(f):
+        alpha = optimize_alpha(f)
+        return bouchard_objective(f, alpha, sub), c - n * _sigmoid_impl(f - alpha)
 
-    def value(fv, av):
-        return bouchard_objective(fv, av, sub)
-
-    def grad_f(fv, av):
-        return c - n * _sigmoid_impl(fv - av)
-
-    val = value(f, alpha)
-    grad = grad_f(f, alpha)
-    trace = [(0, float(val))]
-    step = settings.initial_step
-    converged = False
-    for it in range(1, settings.max_iter + 1):
-        if float(np.max(np.abs(grad))) <= settings.grad_tol:
-            converged = True
-            break
-        g2 = float(grad @ grad)
-        noise = 4.0 * np.spacing(max(abs(val), 1.0))
-        halved = False
-        while True:
-            cand = f + step * grad
-            cval = value(cand, alpha)
-            if np.isfinite(cval):
-                if cval >= val + 1e-4 * step * g2:
-                    break
-                cg = grad_f(cand, alpha)
-                if cval >= val - noise and float(cg @ cg) <= g2:
-                    break
-            step *= 0.5
-            halved = True
-            if step < 1e-18:
-                raise ConvergenceError(
-                    f"line search stalled at iteration {it} with gradient "
-                    f"inf-norm {float(np.max(np.abs(grad))):.3e}"
-                )
-        if not halved and cval - val > 4.0 * noise:
-            step *= 2.0
-        f = cand
-        alpha = optimize_alpha(f)  # exact block step, can only raise the objective
-        val = value(f, alpha)
-        grad = grad_f(f, alpha)
-        trace.append((it, float(val)))
-    if not converged:
-        raise ConvergenceError(
-            f"bouchard fit: gradient inf-norm {float(np.max(np.abs(grad))):.3e} > "
-            f"{settings.grad_tol:.1e} after {settings.max_iter} iterations"
-        )
+    f, _, trace = _ascend(vg, np.zeros(active.size), settings=settings)
     # report alpha in the same gauge as the returned scores (sum f = 0)
-    alpha_gauged = float(alpha - f.mean())
-    return _pad_result("bouchard", counts, active, f, trace, alpha=alpha_gauged)
+    alpha = optimize_alpha(f) - f.mean()
+    return _pad_result("bouchard", counts, active, f, trace, alpha=alpha)
 
 
 def sample_rival_classes(

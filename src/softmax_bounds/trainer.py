@@ -123,9 +123,6 @@ class SparseDelta:
     slots: np.ndarray
     values: np.ndarray
 
-    def touched_rows(self) -> np.ndarray:
-        return np.unique(self.classes)
-
     def to_dense(self, num_classes: int, num_features: int) -> tuple[np.ndarray, np.ndarray]:
         grad_w = np.zeros(num_classes * num_features)
         np.add.at(grad_w, self.slots, self.coeffs[self.owner] * self.values[:, None])

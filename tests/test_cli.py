@@ -93,6 +93,14 @@ class TestEstimate:
         np.testing.assert_allclose(probs["probs"], [0.9, 0.1], atol=1e-4)
         assert "alpha" in probs
 
+    def test_bouchard_large_counts_converge(self, tmp_path):
+        out = str(tmp_path / "run")
+        assert cli.main(["estimate", "--method", "bouchard",
+                         "--counts", "7000,2000,1000", "--out", out]) == 0
+        probs = read_json(os.path.join(out, "probs.json"))
+        raw = np.array([7000, 2000, 1000]) / np.array([3000, 8000, 9000])
+        np.testing.assert_allclose(probs["probs"], raw / raw.sum(), rtol=1e-9)
+
     def test_labels_file(self, tmp_path):
         path = tmp_path / "labels.txt"
         path.write_text("1\n1\n2\n2\n2\n3\n3\n3\n3\n3\n", encoding="utf-8")

@@ -22,7 +22,6 @@ from softmax_bounds.linear_model import (
     optimal_alphas,
     ove_loglik,
     predict,
-    predict_all,
     predict_proba,
     predict_proba_all,
     scores,
@@ -324,7 +323,10 @@ class TestPredict:
         m = make_model(rng, 5, 3)
         shifted = LinearModel(m.weights.copy(), m.biases + 11.0)
         data, _, _ = make_data(rng, 30, 3, 5)
-        np.testing.assert_array_equal(predict_all(m, data), predict_all(shifted, data))
+        np.testing.assert_array_equal(
+            np.argmax(scores_matrix(m, data), axis=1),
+            np.argmax(scores_matrix(shifted, data), axis=1),
+        )
 
     def test_proba_is_exact_softmax(self):
         from softmax_bounds.bounds import softmax
@@ -394,13 +396,6 @@ class TestCheckpoint:
         m = LinearModel(np.array([[np.nan]]), np.zeros(1))
         with pytest.raises(ValueError):
             m.save(str(tmp_path / "m.bin"))
-
-    def test_json_round_trip(self):
-        rng = substream(19, "ckpt")
-        m = make_model(rng, 3, 4)
-        back = LinearModel.from_json_dict(m.to_json_dict())
-        np.testing.assert_array_equal(back.weights, m.weights)
-        np.testing.assert_array_equal(back.biases, m.biases)
 
 
 def _ove_loglik_oracle(model, data, lam):

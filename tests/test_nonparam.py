@@ -294,6 +294,25 @@ class TestBouchardFit:
         assert res.probs[0] == 0.0
         np.testing.assert_allclose(res.probs[1:], [0.9, 0.1], atol=1e-6)
 
+    def test_large_counts_meet_the_gradient_gate(self):
+        # the gradient's class sum is -N r(alpha), so an alpha solved only to
+        # |r| <= 1e-10 would keep N r / K above the 1e-8 gate at N = 1e4
+        counts = CountVector(np.array([7000, 2000, 1000]))
+        res = bouchard_fit(counts)
+        c = counts.counts.astype(float)
+        sig = _sigmoid_impl(res.f_hat - res.alpha)
+        # gradient inf-norm <= 1e-8 puts each sigmoid within 1e-8 / N of N_k / N
+        np.testing.assert_allclose(sig, c / c.sum(), rtol=0, atol=1e-11)
+
+    def test_iteration_budget_raises(self):
+        from softmax_bounds.bounds import ConvergenceError
+
+        with pytest.raises(ConvergenceError):
+            bouchard_fit(
+                CountVector(np.array([2, 3, 5])),
+                OptimizerSettings(grad_tol=1e-8, max_iter=3),
+            )
+
     def test_objective_gradient_at_fit(self):
         counts = CountVector(np.array([5, 3, 8]))
         res = bouchard_fit(counts)

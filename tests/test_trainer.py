@@ -93,7 +93,7 @@ class TestStochasticGradient:
         )
         delta, _ = stochastic_gradient(model, rows_of(data), 2, draw)
         allowed = set(labels.tolist()) | set(expected_rivals.ravel().tolist())
-        assert set(delta.touched_rows().tolist()) <= allowed
+        assert set(np.unique(delta.classes).tolist()) <= allowed
 
     def test_unbiased_mean_matches_full_gradient(self):
         rng = substream(5, "data")
