@@ -320,7 +320,7 @@ def _cmd_train(args) -> int:
         manifest.config = {"objective": args.objective, "lam": args.lam}
 
     ckpt_path = os.path.join(args.out, "checkpoint.bin")
-    fitted.save(ckpt_path)
+    ckpt_sha256 = fitted.save(ckpt_path)
 
     error, mean_nlpd = _evaluate(fitted, eval_data)
     report = MethodReport(
@@ -336,7 +336,7 @@ def _cmd_train(args) -> int:
         manifest.add_output(trace_path)
     else:
         manifest.add_output(trace_path, scope=trace_scope)
-    manifest.add_output(ckpt_path)
+    manifest.add_output(ckpt_path, sha256=ckpt_sha256)
     manifest.add_output(report_path)
     manifest.timings["wall_s"] = time.perf_counter() - t0
     manifest.write(os.path.join(args.out, "manifest.json"))

@@ -18,6 +18,7 @@ comparable across objectives.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
 from dataclasses import dataclass
@@ -91,24 +92,35 @@ class LinearModel:
     def num_features(self) -> int:
         return int(self.weights.shape[1])
 
-    def check_finite(self) -> None:
-        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.biases))):
-            raise ValueError("model parameters contain non-finite values")
-
     @classmethod
     def zeros(cls, num_classes: int, num_features: int) -> "LinearModel":
         return cls(np.zeros((num_classes, num_features)), np.zeros(num_classes))
 
     # binary checkpoint: magic, u32 version, u64 K, u64 D, then row-major
     # weights and biases as little-endian float64
-    def save(self, path: str) -> None:
-        self.check_finite()
+    def save(self, path: str) -> str:
+        """Write the checkpoint to ``path`` and return its sha256 hex digest.
+
+        One pass over cache-sized blocks checks that every parameter is
+        finite and hashes the exact bytes that are then written, so the
+        digest equals that of the file without reading it back. Raises
+        ValueError, before the file is opened, if a parameter is not finite.
+        """
         k, d = self.weights.shape
+        header = _HEADER.pack(_MAGIC, _VERSION, k, d)
+        # .data writes the array's own buffer, where tobytes() copies all of W
+        weights = np.ascontiguousarray(self.weights, dtype="<f8")
+        biases = np.ascontiguousarray(self.biases, dtype="<f8")
+        digest = hashlib.sha256(header)
+        for block in [*(weights[rows] for rows in _row_slices(k, d)), biases]:
+            if not np.isfinite(block).all():
+                raise ValueError("model parameters contain non-finite values")
+            digest.update(block)
         with open(path, "wb") as fh:
-            fh.write(_HEADER.pack(_MAGIC, _VERSION, k, d))
-            # .data writes the array's own buffer, where tobytes() copies all of W
-            fh.write(np.ascontiguousarray(self.weights, dtype="<f8").data)
-            fh.write(np.ascontiguousarray(self.biases, dtype="<f8").data)
+            fh.write(header)
+            fh.write(weights.data)
+            fh.write(biases.data)
+        return digest.hexdigest()
 
     @classmethod
     def load(cls, path: str) -> "LinearModel":
@@ -171,21 +183,39 @@ def scores(model: LinearModel, x: SparseVector) -> np.ndarray:
     return model.biases + model.weights[:, x.indices] @ x.values
 
 
-def scores_matrix(model: LinearModel, data: SparseDataset) -> np.ndarray:
-    """(N, K) score matrix for a whole dataset."""
+def _csr(model: LinearModel, data: SparseDataset):
     mat, _ = data.to_csr()
     if mat.shape[1] != model.num_features:
         raise ValueError(
             f"dataset has {mat.shape[1]} features, model has {model.num_features}"
         )
-    # mat @ W.T would make scipy copy all of W into a C-ordered transpose;
-    # a block of class rows at a time keeps that copy near 1 MB, in cache,
-    # and every score is the same sum in the same order
-    block = max(1, (1 << 20) // (8 * model.num_features))
+    return mat
+
+
+def _score_blocks(model: LinearModel, mat):
+    """Yield ``(k, scores)`` with the (N, n) scores of classes k .. k + n - 1,
+    one block of classes at a time.
+
+    mat @ W.T would make scipy copy all of W into a C-ordered transpose; a
+    block of at most about 1 MB of W rows keeps that copy in cache, and
+    every score is the same sum in the same order whatever the block size.
+    A block also holds at most about ``_BLOCK`` scores, but at least 16
+    classes, because each block walks all of ``mat`` again.
+    """
+    step = max(16, _BLOCK // max(1, mat.shape[0]))
+    step = max(1, min(step, (1 << 20) // (8 * max(1, model.num_features))))
+    for k in range(0, model.num_classes, step):
+        block = mat @ model.weights[k : k + step].T
+        block += model.biases[k : k + step]
+        yield k, block
+
+
+def scores_matrix(model: LinearModel, data: SparseDataset) -> np.ndarray:
+    """(N, K) score matrix for a whole dataset."""
+    mat = _csr(model, data)
     out = np.empty((mat.shape[0], model.num_classes))
-    for k in range(0, model.num_classes, block):
-        out[:, k : k + block] = mat @ model.weights[k : k + block].T
-    out += model.biases
+    for k, block in _score_blocks(model, mat):
+        out[:, k : k + block.shape[1]] = block
     return out
 
 
@@ -194,18 +224,17 @@ def _check_labels(y: np.ndarray, num_classes: int) -> None:
         raise ValueError("label out of range for the model's class count")
 
 
-def _blocked_sum(term, num_rows: int, row_len: int) -> float:
-    """Sum of ``term(rows)`` over slices of about ``_BLOCK`` elements, so its
-    temporaries stay block-sized; one block is exactly the whole sum."""
+def _row_slices(num_rows: int, row_len: int):
+    """Slices of consecutive rows of about ``_BLOCK`` elements each."""
     step = max(1, _BLOCK // max(1, row_len))
-    return sum(float(term(slice(r, r + step)).sum()) for r in range(0, num_rows, step))
+    return (slice(r, r + step) for r in range(0, num_rows, step))
 
 
 def _penalty(model: LinearModel, lam: float) -> float:
     if lam == 0.0:
         return 0.0
     w = model.weights
-    return 0.5 * lam * _blocked_sum(lambda rows: w[rows] ** 2, *w.shape)
+    return 0.5 * lam * sum(float((w[rows] ** 2).sum()) for rows in _row_slices(*w.shape))
 
 
 def _row_lse(f: np.ndarray) -> np.ndarray:
@@ -226,15 +255,33 @@ def ove_loglik(model: LinearModel, data: SparseDataset, lam: float = 0.0) -> flo
     """Sum over instances of the one-vs-each lower bound on the log
     likelihood, minus the penalty. Never exceeds ``exact_loglik`` at the
     same parameters; coincides with it when K = 2. Raises NumericalError,
-    without a warning, when overflowed parameters make the sum not finite."""
-    f = scores_matrix(model, data)
+    without a warning, when overflowed parameters make the sum not finite.
+
+    The label scores come from one O(nnz) gather, and the rival scores one
+    block of classes at a time, so no (N, K) array is ever held.
+    """
+    from scipy.sparse import csr_matrix
+
+    mat = _csr(model, data)
     y = data.labels()
     _check_labels(y, model.num_classes)
-    fy = f[np.arange(len(y)), y]
+    n = len(y)
     with np.errstate(over="ignore", invalid="ignore"):
-        total = _blocked_sum(lambda rows: _log_sigmoid_impl(fy[rows, None] - f[rows]), *f.shape)
+        # f_y[i] = b[y_i] + sum of W[y_i, j] * x_ij over the row's entries,
+        # summed by a sparse product as the scores are, so in the same order
+        flat = np.repeat(y * model.num_features, np.diff(mat.indptr))
+        flat += mat.indices
+        picked = model.weights.take(flat)
+        picked *= mat.data
+        fy = csr_matrix((picked, mat.indices, mat.indptr), shape=mat.shape) @ np.ones(mat.shape[1])
+        del flat, picked
+        fy += model.biases[y]
+        total = 0.0
+        for _, block in _score_blocks(model, mat):
+            np.subtract(fy[:, None], block, out=block)
+            total += float(_log_sigmoid_impl(block).sum())
         # the m = y_n term is log sigmoid(0) = -log 2 in every row; drop it
-        total = total + len(y) * np.log(2.0) - _penalty(model, lam)
+        total = total + n * np.log(2.0) - _penalty(model, lam)
     if not np.isfinite(total):
         raise NumericalError(f"the one-vs-each bound is {total}; the model has overflowed")
     return total

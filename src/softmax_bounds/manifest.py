@@ -54,8 +54,18 @@ class RunManifest:
     def add_dataset(self, path) -> None:
         self.datasets[os.fspath(path)] = sha256_file(path)
 
-    def add_output(self, path, scope: str = SCOPE_FULL) -> None:
-        if scope == SCOPE_FULL:
+    def add_output(self, path, scope: str = SCOPE_FULL, sha256: str | None = None) -> None:
+        """Record an output file with its hash under ``scope``.
+
+        ``sha256``, if given, is the file's full-scope digest as its writer
+        computed it (``LinearModel.save`` returns one), so a large output is
+        not read back to hash it.
+        """
+        if sha256 is not None:
+            if scope != SCOPE_FULL:
+                raise ValueError(f"a precomputed sha256 is a {SCOPE_FULL!r} hash, not {scope!r}")
+            digest = sha256
+        elif scope == SCOPE_FULL:
             digest = sha256_file(path)
         elif scope == SCOPE_NO_ELAPSED:
             digest = sha256_csv_without_last_column(path)

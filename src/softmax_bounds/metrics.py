@@ -127,7 +127,8 @@ def nlpd(prob_rows, truth) -> float:
         raise ValueError(f"shape mismatch: probs {p.shape} vs truth {t.shape}")
     if p.shape[0] == 0:
         raise ValueError("need at least one row")
-    if not np.all(np.isfinite(p)) or np.any(p < 0.0):
+    # a NaN fails both comparisons; neither builds an (N, K) mask
+    if not (p.min() >= 0.0 and p.max() < np.inf):
         raise ValueError("probability rows must be finite and nonnegative")
     sums = p.sum(axis=1)
     bad = np.abs(sums - 1.0) > 1e-6

@@ -46,6 +46,7 @@ from softmax_bounds.linear_model import (
     KIND_OVE,
     LinearModel,
     Objective,
+    _row_slices,
     bouchard_loglik,
     exact_loglik,
     full_gradient,
@@ -462,10 +463,16 @@ def train(
             (step - 1, _bound_estimate(last_terms, scale_factor), lr, epoch, elapsed_ms)
         )
 
+    # settle every row's pending decay and check the result in one pass,
+    # a cache-sized block of rows at a time
+    finite = np.isfinite(biases).all()
     with np.errstate(over="ignore", invalid="ignore"):
         scale *= np.exp(cum_log - row_log)
-        values *= scale[:, None]
-    if not (np.isfinite(values).all() and np.isfinite(biases).all()):
+        for rows in _row_slices(*values.shape):
+            block = values[rows]
+            block *= scale[rows, None]
+            finite &= np.isfinite(block).all()
+    if not finite:
         raise NumericalError(
             "training produced non-finite parameters; lower the learning rate"
         )

@@ -10,6 +10,7 @@ import pytest
 from softmax_bounds import cli
 from softmax_bounds.datasets import gen_toy_5class, write_sparse
 from softmax_bounds.linear_model import LinearModel
+from softmax_bounds.manifest import SCOPE_FULL, RunManifest, sha256_file
 
 
 @pytest.fixture(scope="module")
@@ -285,6 +286,14 @@ class TestTrain:
         assert scopes["checkpoint.bin"] == "full"
         assert scopes["report.json"] == "full"
 
+    @pytest.mark.parametrize("objective", ["ove-sgd", "soft"])
+    def test_manifest_hashes_match_the_files(self, trained, objective):
+        # the checkpoint's digest comes from save, not from reading it back
+        manifest = read_json(os.path.join(trained[objective], "manifest.json"))
+        for entry in manifest["outputs"]:
+            if entry["scope"] == SCOPE_FULL:
+                assert entry["sha256"] == sha256_file(entry["path"])
+
     def test_sgd_tracks_full_batch_fit(self, trained):
         sgd = read_json(os.path.join(trained["ove-sgd"], "report.json"))["report"]
         full = read_json(os.path.join(trained["ove"], "report.json"))["report"]
@@ -453,6 +462,13 @@ class TestCompare:
                        "--test", test, "--out", str(tmp_path / "cmp")])
         assert rc == 3
         assert "test set" in capsys.readouterr().err
+
+
+class TestManifest:
+    def test_precomputed_digest_must_be_full_scope(self, tmp_path):
+        manifest = RunManifest(command=["train"])
+        with pytest.raises(ValueError, match="precomputed"):
+            manifest.add_output(tmp_path / "t.csv", scope="excluding-elapsed-ms", sha256="0" * 64)
 
 
 class TestReproducibility:

@@ -2,14 +2,16 @@
 
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from softmax_bounds.bounds import _log_sigmoid_impl
-from softmax_bounds.config import NumericalError
+from softmax_bounds.config import NumericalError, TrainConfig
 from softmax_bounds.datasets import SparseDataset, SparseVector
 from softmax_bounds.linear_model import (
+    _score_blocks,
     KIND_BOUCHARD,
     KIND_EXACT,
     KIND_OVE,
@@ -27,7 +29,9 @@ from softmax_bounds.linear_model import (
     scores,
     scores_matrix,
 )
+from softmax_bounds.manifest import sha256_file
 from softmax_bounds.rng import substream
+from softmax_bounds.trainer import train
 
 from helpers import rows_of
 
@@ -397,6 +401,28 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             m.save(str(tmp_path / "m.bin"))
 
+    @pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+    def test_save_returns_the_file_digest(self, tmp_path, layout):
+        # K * D spans several blocks of the hashing pass
+        rng = substream(26, "ckpt")
+        w = rng.normal(size=(300, 250))
+        w = {"C": w, "F": np.asfortranarray(w), "sliced": w[:, ::2]}[layout]
+        path = str(tmp_path / "m.bin")
+        assert LinearModel(w, rng.normal(size=300)).save(path) == sha256_file(path)
+
+    @pytest.mark.parametrize("where", ["first weight", "last weight", "bias"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_save_leaves_no_file(self, tmp_path, where, bad):
+        m = make_model(substream(27, "ckpt"), 300, 250)
+        if where == "bias":
+            m.biases[7] = bad
+        else:
+            m.weights[(0, 0) if where == "first weight" else (-1, -1)] = bad
+        path = tmp_path / "m.bin"
+        with pytest.raises(ValueError, match="non-finite"):
+            m.save(str(path))
+        assert not path.exists()
+
 
 def _ove_loglik_oracle(model, data, lam):
     """The unblocked formula: one (N, K) log-sigmoid matrix, one sum."""
@@ -425,6 +451,44 @@ class TestDenseTail:
         assert ove_loglik(m, data, lam) == pytest.approx(
             _ove_loglik_oracle(m, data, lam), rel=1e-12
         )
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    def test_ove_loglik_streamed_over_class_blocks(self, lam):
+        # empty rows, features shared between rows, and a last class block
+        # shorter than the others
+        rng = substream(28, "tail")
+        k, d, n = 1000, 50, 300
+        m = make_model(rng, k, d, scale=0.3)
+        dense = rng.normal(size=(n, d)) * (rng.uniform(size=(n, d)) < 0.4)
+        dense[::7] = 0.0
+        data = SparseDataset.from_dense(dense, rng.integers(0, k, size=n), k)
+        widths = [b.shape[1] for _, b in _score_blocks(m, data.to_csr()[0])]
+        assert len(widths) >= 4 and k % widths[0] != 0
+        assert ove_loglik(m, data, lam) == pytest.approx(
+            _ove_loglik_oracle(m, data, lam), rel=1e-12
+        )
+
+    def test_feature_count_mismatch_is_value_error(self):
+        rng = substream(29, "tail")
+        data, _, _ = make_data(rng, 10, 6, 4)
+        m = make_model(rng, 4, 7)
+        for fn in (scores_matrix, ove_loglik, predict_proba_all):
+            with pytest.raises(ValueError, match="dataset has 6 features, model has 7"):
+                fn(m, data)
+
+    def test_overflow_in_a_later_class_block_is_numerical_error(self):
+        # one late class weighs every feature by 1e308, so its score
+        # overflows to +inf, and it is every row's label: inf - inf
+        rng = substream(30, "tail")
+        k, d, n = 1000, 50, 300
+        m = make_model(rng, k, d, scale=0.3)
+        _, dense, _ = make_data(rng, n, d, k, density=0.4)
+        data = SparseDataset.from_dense(np.abs(dense) * 1.5, np.full(n, k - 3), k)
+        m.weights[k - 3] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="bound is nan"):
+                ove_loglik(m, data)
 
     @staticmethod
     def huge_model(label_weight, rival_weight):
@@ -499,7 +563,39 @@ def wide():
     return make_model(rng, k, d, scale=0.1), data
 
 
+@pytest.fixture(scope="module")
+def tall():
+    """K = D = 2000 (W is 32 MB, K * D = 4e6) with 200 rows of 10 nnz: the
+    work of the data is small next to any whole-W temporary."""
+    k = d = 2000
+    n, nnz = 200, 10
+    rng = substream(31, "tail")
+    indices = np.sort(np.argsort(rng.random((n, d)), axis=1)[:, :nnz], axis=1)
+    data = SparseDataset(
+        np.arange(0, n * nnz + 1, nnz), indices.ravel(), rng.normal(size=n * nnz),
+        rng.integers(0, k, size=n), d, k,
+    )
+    return make_model(rng, k, d, scale=0.1), data
+
+
 class TestDenseTailMemory:
+    def test_ove_loglik_streams_class_blocks(self, wide):
+        m, data = wide
+        assert len(list(_score_blocks(m, data.to_csr()[0]))) >= 4
+        peak = _traced_peak(ove_loglik, m, data, 0.1)
+        assert peak <= 0.05 * len(data) * m.num_classes * 8
+
+    def test_save_is_blocked(self, tall, tmp_path):
+        m, _ = tall
+        peak = _traced_peak(m.save, str(tmp_path / "m.bin"))
+        assert peak <= 2 * 2**20
+
+    def test_train_holds_only_the_returned_model(self, tall):
+        m, data = tall
+        cfg = TrainConfig(batch_size=10, num_sampled=5, lr0=0.01, epochs=1, lam=0.1, seed=3)
+        peak = _traced_peak(train, m, data, cfg)
+        assert peak <= m.weights.nbytes + 0.05 * m.weights.nbytes
+
     def test_ove_loglik(self, wide):
         m, data = wide
         peak = _traced_peak(ove_loglik, m, data, 0.1)

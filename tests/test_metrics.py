@@ -129,6 +129,10 @@ class TestNlpd:
         with pytest.raises(ValueError):
             nlpd(np.array([[np.nan, 1.0]]), [0])
         with pytest.raises(ValueError):
+            nlpd(np.array([[0.5, 0.5], [np.inf, 0.0]]), [0, 0])
+        with pytest.raises(ValueError):
+            nlpd(np.array([[0.5, 0.5], [1.0, -np.inf]]), [0, 0])
+        with pytest.raises(ValueError):
             nlpd(np.array([[0.5, 0.5]]), [2])
 
     def test_mean_over_rows(self):

@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -313,6 +314,19 @@ class TestTrain:
         cfg = TrainConfig(batch_size=10, num_sampled=1, lr0=0.05, epochs=1, seed=0)
         with pytest.raises(NumericalError, match="non-finite"):
             train(model, toy200, cfg)
+
+    def test_overflowed_update_is_numerical_error(self):
+        # one step of 1e308 * 10 overflows the touched weight rows; K * D
+        # spans several blocks of the final settle-and-check pass
+        k, d = 100, 1000
+        x = np.zeros((2, d))
+        x[0, 0] = x[1, 1] = 10.0
+        data = SparseDataset.from_dense(x, np.array([0, 1]), k)
+        cfg = TrainConfig(batch_size=2, num_sampled=3, lr0=1e308, epochs=1, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="training produced non-finite"):
+                train(LinearModel.zeros(k, d), data, cfg)
 
     def test_validation_errors(self, toy200):
         model = LinearModel.zeros(5, 2)
