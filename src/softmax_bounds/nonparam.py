@@ -330,7 +330,8 @@ def sample_rival_classes(
     (len(labels), num_sampled) int array. Three regimes: the full
     complement needs no randomness; dense draws use per-row permutations;
     sparse draws use rejection on whole rows (redrawing a full row keeps
-    the distribution uniform).
+    the distribution uniform). A row is distinct with probability about
+    exp(-S^2 / 2(K-1)), so draws are dense once that is below S / (K-1).
     """
     labels = np.asarray(labels)
     b = labels.size
@@ -341,7 +342,7 @@ def sample_rival_classes(
     if s == k - 1:
         grid = np.broadcast_to(np.arange(k), (b, k))
         return grid[grid != labels[:, None]].reshape(b, s)
-    if 3 * s >= k - 1:
+    if 3 * s >= k - 1 or s * s > 2 * (k - 1) * np.log((k - 1) / s):
         base = np.broadcast_to(np.arange(k - 1), (b, k - 1)).copy()
         perm = rng.permuted(base, axis=1)[:, :s]
         return perm + (perm >= labels[:, None])
@@ -363,6 +364,44 @@ def sample_rival_classes(
     return draw
 
 
+def _chunks(labels: np.ndarray, num_classes: int, config: TrainConfig):
+    """The schedule of both doubly stochastic loops: per chunk of at most
+    ``max(1, _CHUNK // b) * b`` positions of an epoch's shuffle, yields
+    (epoch, lr, chosen, classes), where row i of ``classes`` is label
+    ``chosen[i]`` and then its rivals, drawn in one sampler call."""
+    n = labels.size
+    b = min(config.batch_size, n)
+    chunk = max(1, _CHUNK // b) * b
+    shuffle_rng = substream(config.seed, "shuffle")
+    class_rng = substream(config.seed, "classes")
+    for epoch in range(config.epochs):
+        lr = config.lr0 * config.lr_decay**epoch
+        order = shuffle_rng.permutation(n)
+        for first in range(0, n, chunk):
+            chosen = order[first : first + chunk]
+            y = labels[chosen]
+            rivals = sample_rival_classes(class_rng, y, num_classes, config.num_sampled)
+            yield epoch, lr, chosen, np.column_stack((y, rivals))
+
+
+def _ove_step(scores: np.ndarray, scale_factor: float) -> tuple[np.ndarray, np.ndarray]:
+    """(coeffs, rise) of (label, rivals...) score rows: ``rise`` is each
+    rival's score minus its label's, and row i of ``coeffs`` the gradient of
+    ``scale_factor * sum(log sigmoid(-rise[i]))`` in that row's scores."""
+    rise = scores[:, 1:] - scores[:, :1]
+    # d/df_y sum log sigmoid(f_y - f_m) = sum sigma(f_m - f_y)
+    sig = _sigmoid_impl(rise)
+    coeffs = np.empty(scores.shape)
+    coeffs[:, 0] = scale_factor * sig.sum(axis=1)
+    coeffs[:, 1:] = -scale_factor * sig
+    return coeffs, rise
+
+
+def _bound_estimate(rise: np.ndarray, scale_factor: float) -> float:
+    """A batch's mean sampled bound from its ``_ove_step`` rise rows."""
+    return scale_factor * float(_log_sigmoid_impl(-rise).sum()) / len(rise)
+
+
 def ove_sgd_fit(
     labels,
     num_classes: int,
@@ -377,9 +416,11 @@ def ove_sgd_fit(
     gradient. Learning rate is ``lr0 * lr_decay**epoch``; the label stream
     is reshuffled every epoch without replacement.
 
-    One sampler call draws the rivals of a chunk of ``_CHUNK`` consecutive
-    observations into (label, rivals...) rows; a step gathers and scatters
-    the scores of its own rows only.
+    The steps follow ``_chunks``, the schedule ``trainer.train`` runs on,
+    and take their gradient from ``_ove_step``, as ``train`` does. A step
+    adds ``lr * coeffs`` to the scores of its own (label, rivals...) rows
+    one entry at a time, the rule ``train`` applies to its biases, so it
+    costs O(b * (S + 1)) whatever K is.
 
     ``objective_trace`` logs (step, mean per-observation sampled bound
     estimate) every ``log_every`` steps. When ``ref_probs`` is given,
@@ -400,13 +441,8 @@ def ove_sgd_fit(
         if ref_probs.shape != (k,):
             raise ConfigError("ref_probs shape must be (num_classes,)")
 
-    n = labels.size
-    b = min(config.batch_size, n)
-    chunk = max(1, _CHUNK // b) * b
-    s = config.num_sampled
-    scale = (k - 1) / s
-    shuffle_rng = substream(config.seed, "shuffle")
-    class_rng = substream(config.seed, "classes")
+    b = min(config.batch_size, labels.size)
+    scale = (k - 1) / config.num_sampled
 
     f = np.zeros(k)
     objective_trace: list[tuple[int, float]] = []
@@ -422,42 +458,28 @@ def ove_sgd_fit(
     # an overflowing step makes f non-finite for good, which is reported
     # once below as NumericalError, not as a warning per operation
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(config.epochs):
-            lr = config.lr0 * config.lr_decay**epoch
-            order = shuffle_rng.permutation(n)
-            for first in range(0, n, chunk):
-                chunk_labels = labels[order[first : first + chunk]]
-                classes = np.column_stack(
-                    (chunk_labels, sample_rival_classes(class_rng, chunk_labels, k, s))
-                )
-                for start in range(0, classes.shape[0], b):
-                    rows = classes[start : start + b]
-                    scores = f[rows]
-                    # sigmoid(f_rival - f_label); the margins are its negated argument
-                    sig = _sigmoid_impl(scores[:, 1:] - scores[:, :1])
-                    coeffs = np.empty(rows.shape)
-                    np.multiply(sig.sum(axis=1), scale, out=coeffs[:, 0])
-                    np.multiply(sig, -scale, out=coeffs[:, 1:])
-                    delta = np.bincount(rows.ravel(), weights=coeffs.ravel(), minlength=k)
-                    step += 1
-                    log_now = step % config.log_every == 0 or step == 1
-                    if log_now:
-                        # sampled estimate of the per-observation bound at the
-                        # pre-update iterate, where the gradient was taken
-                        margins = scores[:, :1] - scores[:, 1:]
-                        est = float(np.mean(scale * _log_sigmoid_impl(margins).sum(axis=1)))
-                        objective_trace.append((step, est))
-                    f += lr * delta
-                    if log_now:
-                        record(step)
+        for _, lr, _, classes in _chunks(labels, k, config):
+            for start in range(0, classes.shape[0], b):
+                rows = classes[start : start + b]
+                coeffs, rise = _ove_step(f[rows], scale)
+                step += 1
+                log_now = step % config.log_every == 0 or step == 1
+                if log_now:
+                    # sampled estimate of the per-observation bound at the
+                    # pre-update iterate, where the gradient was taken
+                    objective_trace.append((step, _bound_estimate(rise, scale)))
+                np.add.at(f, rows.ravel(), (lr * coeffs).ravel())
+                if log_now:
+                    record(step)
     if not np.isfinite(f).all():
         raise NumericalError("scores became non-finite; lower the learning rate")
     if step % config.log_every != 0 and step != 1:
         record(step)
 
     f -= f.mean()
-    e = np.exp(f - f.max())
-    probs = e / e.sum()
+    probs = f - f.max()
+    np.exp(probs, out=probs)
+    probs /= probs.sum()
     return EstimationResult(
         method="ove_sgd",
         f_hat=f,

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from softmax_bounds.bounds import ConvergenceError, _log_sigmoid_impl, _sigmoid_impl
+from softmax_bounds.bounds import ConvergenceError
 from softmax_bounds.config import ConfigError, NumericalError, OptimizerSettings, TrainConfig
 from softmax_bounds.datasets import SparseDataset, SparseVector, _check_arrays
 from softmax_bounds.linear_model import (
@@ -53,8 +53,7 @@ from softmax_bounds.linear_model import (
     optimal_alphas,
     ove_loglik,
 )
-from softmax_bounds.nonparam import _CHUNK, sample_rival_classes
-from softmax_bounds.rng import substream
+from softmax_bounds.nonparam import _bound_estimate, _chunks, _ove_step, sample_rival_classes
 
 __all__ = [
     "TrainTrace",
@@ -174,10 +173,10 @@ def _sgd_step(
     index arrays are as ``_gather`` returns them. The weight of class r and
     feature j is ``scale[r] * flat_values[r * D + j]``. Returns the sparse
     delta of the instances' summed sampled bound, rescaled by
-    ``scale_factor``, and the (m, S) sampled log-sigmoid terms, from which
-    ``_bound_estimate`` takes a batch's bound. The instances form
-    consecutive batches of ``batch_size``; only the NumericalError message
-    uses that. Costs O(m * (S + 1) * nnz).
+    ``scale_factor``, and the (m, S) rise of each rival's score above its
+    label's, from which ``_bound_estimate`` takes a batch's bound. The
+    instances form consecutive batches of ``batch_size``; only the
+    NumericalError message uses that. Costs O(m * (S + 1) * nnz).
     """
     m, width = classes.shape
     nonempty = ptr[1:] > ptr[:-1]
@@ -195,19 +194,8 @@ def _sgd_step(
                 f"non-finite score encountered (instance {i % batch_size}, "
                 f"classes {classes[i].tolist()})"
             )
-        margins = scores[:, :1] - scores[:, 1:]
-        sig = _sigmoid_impl(-margins)
-        log_terms = _log_sigmoid_impl(margins)
-    # d/df_y sum log sigmoid(f_y - f_m) = sum sigma(f_m - f_y)
-    coeffs = np.empty((m, width))
-    coeffs[:, 0] = scale_factor * sig.sum(axis=1)
-    coeffs[:, 1:] = -scale_factor * sig
-    return SparseDelta(classes, coeffs, owner, slots, values), log_terms
-
-
-def _bound_estimate(terms: np.ndarray, scale_factor: float) -> float:
-    """A batch's mean sampled bound from its rows of ``_sgd_step`` terms."""
-    return scale_factor * float(terms.sum()) / len(terms)
+        coeffs, rise = _ove_step(scores, scale_factor)
+    return SparseDelta(classes, coeffs, owner, slots, values), rise
 
 
 def stochastic_gradient(
@@ -240,7 +228,7 @@ def stochastic_gradient(
     rivals = sample_rival_classes(rng, labels, num_classes=num_classes, num_sampled=num_sampled)
     classes = np.column_stack((labels, rivals))
     scale_factor = (num_classes - 1) / num_sampled
-    delta, terms = _sgd_step(
+    delta, rise = _sgd_step(
         *_gather(indptr, indices, data, np.arange(labels.size), classes, model.num_features),
         classes,
         np.ascontiguousarray(model.weights).reshape(-1),
@@ -249,7 +237,7 @@ def stochastic_gradient(
         scale_factor,
         labels.size,
     )
-    return delta, _bound_estimate(terms, scale_factor)
+    return delta, _bound_estimate(rise, scale_factor)
 
 
 @dataclass
@@ -282,19 +270,15 @@ def _plan(
     indices: np.ndarray,
     data: np.ndarray,
     chosen: np.ndarray,
-    labels: np.ndarray,
+    classes: np.ndarray,
     batch_size: int,
     num_classes: int,
     num_features: int,
-    num_sampled: int,
-    class_rng: np.random.Generator,
 ) -> _Plan:
-    """Plan the batches of ``chosen``, drawing all their rivals in one sampler call."""
+    """Plan the batches of CSR rows ``chosen``, whose (label, rivals...)
+    rows ``classes`` are one chunk of ``_chunks``."""
     m = chosen.size
     num_batches = -(-m // batch_size)
-    classes = np.column_stack(
-        (labels, sample_rival_classes(class_rng, labels, num_classes, num_sampled))
-    )
     ptr, owner, slots, values = _gather(indptr, indices, data, chosen, classes, num_features)
 
     # distinct (batch, row) pairs by one sort, ordered by batch, then row
@@ -363,9 +347,6 @@ def train(
     mat, labels_all = data.to_csr()
     indptr, feat_idx, feat_val = mat.indptr, mat.indices, mat.data
 
-    shuffle_rng = substream(config.seed, "shuffle")
-    class_rng = substream(config.seed, "classes")
-
     num_classes = model.num_classes
     scale_factor = (num_classes - 1) / config.num_sampled
     lam = config.lam
@@ -384,83 +365,76 @@ def train(
     t0 = time.perf_counter()
     step = 0
     b = min(config.batch_size, n)
-    chunk = max(1, _CHUNK // b) * b
     log_every = config.log_every
 
-    for epoch in range(config.epochs):
-        lr = config.lr0 * config.lr_decay**epoch
-        order = shuffle_rng.permutation(n)
-        for first in range(0, n, chunk):
-            chosen = order[first : first + chunk]
-            plan = _plan(
-                indptr, feat_idx, feat_val, chosen, labels_all[chosen], b, num_classes,
-                model.num_features, config.num_sampled, class_rng,
+    for epoch, lr, chosen, classes in _chunks(labels_all, num_classes, config):
+        plan = _plan(indptr, feat_idx, feat_val, chosen, classes, b, num_classes,
+                     model.num_features)
+        m, num_batches = chosen.size, plan.groups[-1]
+        # the batch supplies len(batch) of the n data terms, so the
+        # penalty share keeping the step unbiased for the summed
+        # objective is lam * len(batch) / n; each distinct log is taken
+        # as a scalar and accumulated in step order, as a running sum
+        decay = np.full(num_batches, 1.0 - lr * lam * (b / n))
+        decay[-1] = 1.0 - lr * lam * ((m - (num_batches - 1) * b) / n)
+        log_decay = np.full(num_batches, np.log(decay[0]))
+        log_decay[-1] = np.log(decay[-1])
+        cum = np.add.accumulate(np.concatenate(([cum_log], log_decay)))
+        cum_log = cum[-1]
+        row_before = cum[plan.row_batch]
+        row_after = cum[plan.row_batch + 1]
+        row_decay = decay[plan.row_batch]
+
+        for g0, g1 in zip(plan.groups, plan.groups[1:]):
+            # every row below was written by exactly one batch of the
+            # group, which reads no other row, so the group does to each
+            # row what the steps one at a time would, in the same order
+            i0, i1 = g0 * b, min(g1 * b, m)
+            r0, r1 = plan.row_ptr[g0], plan.row_ptr[g1]
+            z0, z1 = plan.ptr[i0], plan.ptr[i1]
+            rows = plan.rows[r0:r1]
+            # exp(0) is exactly 1, so rows with nothing pending keep
+            # their scale
+            scale[rows] *= np.exp(row_before[r0:r1] - row_log[rows])
+            delta, rise = _sgd_step(
+                plan.ptr[i0 : i1 + 1] - z0, plan.owner[z0:z1] - i0, plan.slots[z0:z1],
+                plan.values[z0:z1], plan.classes[i0:i1], flat_values, scale, biases,
+                scale_factor, b,
             )
-            m, num_batches = chosen.size, plan.groups[-1]
-            # the batch supplies len(batch) of the n data terms, so the
-            # penalty share keeping the step unbiased for the summed
-            # objective is lam * len(batch) / n; each distinct log is taken
-            # as a scalar and accumulated in step order, as a running sum
-            decay = np.full(num_batches, 1.0 - lr * lam * (b / n))
-            decay[-1] = 1.0 - lr * lam * ((m - (num_batches - 1) * b) / n)
-            log_decay = np.full(num_batches, np.log(decay[0]))
-            log_decay[-1] = np.log(decay[-1])
-            cum = np.add.accumulate(np.concatenate(([cum_log], log_decay)))
-            cum_log = cum[-1]
-            row_before = cum[plan.row_batch]
-            row_after = cum[plan.row_batch + 1]
-            row_decay = decay[plan.row_batch]
+            # an overflowing update shows as a non-finite score or
+            # parameter later, reported as NumericalError
+            with np.errstate(over="ignore", invalid="ignore"):
+                scale[rows] *= row_decay[r0:r1]
+                row_log[rows] = row_after[r0:r1]
+                # np.add.at, not a fancy-index +=, so that instances
+                # sharing a (class, feature) pair all land
+                steps = lr * delta.coeffs
+                row_steps = (steps / scale[delta.classes])[delta.owner]
+                np.add.at(flat_values, delta.slots, row_steps * delta.values[:, None])
+                np.add.at(biases, delta.classes, steps)
+                small = rows[np.abs(scale[rows]) < _RENORM_THRESHOLD]
+                if small.size:
+                    values[small] *= scale[small, None]
+                    scale[small] = 1.0
 
-            for g0, g1 in zip(plan.groups, plan.groups[1:]):
-                # every row below was written by exactly one batch of the
-                # group, which reads no other row, so the group does to each
-                # row what the steps one at a time would, in the same order
-                i0, i1 = g0 * b, min(g1 * b, m)
-                r0, r1 = plan.row_ptr[g0], plan.row_ptr[g1]
-                z0, z1 = plan.ptr[i0], plan.ptr[i1]
-                rows = plan.rows[r0:r1]
-                # exp(0) is exactly 1, so rows with nothing pending keep
-                # their scale
-                scale[rows] *= np.exp(row_before[r0:r1] - row_log[rows])
-                delta, terms = _sgd_step(
-                    plan.ptr[i0 : i1 + 1] - z0, plan.owner[z0:z1] - i0, plan.slots[z0:z1],
-                    plan.values[z0:z1], plan.classes[i0:i1], flat_values, scale, biases,
-                    scale_factor, b,
-                )
-                # an overflowing update shows as a non-finite score or
-                # parameter later, reported as NumericalError
-                with np.errstate(over="ignore", invalid="ignore"):
-                    scale[rows] *= row_decay[r0:r1]
-                    row_log[rows] = row_after[r0:r1]
-                    # np.add.at, not a fancy-index +=, so that instances
-                    # sharing a (class, feature) pair all land
-                    steps = lr * delta.coeffs
-                    row_steps = (steps / scale[delta.classes])[delta.owner]
-                    np.add.at(flat_values, delta.slots, row_steps * delta.values[:, None])
-                    np.add.at(biases, delta.classes, steps)
-                    small = rows[np.abs(scale[rows]) < _RENORM_THRESHOLD]
-                    if small.size:
-                        values[small] *= scale[small, None]
-                        scale[small] = 1.0
-
-                if probe is not None:
-                    for j in range(g0, g1):
-                        probe(step + j, plan.rows[plan.row_ptr[j] : plan.row_ptr[j + 1]])
-                # the first multiple of log_every at or after the group's start
-                first_logged = -(-(step + g0) // log_every) * log_every
-                for logged in range(first_logged, step + g1, log_every):
-                    k = logged - step - g0
-                    bound = _bound_estimate(terms[k * b : (k + 1) * b], scale_factor)
-                    elapsed_ms = (time.perf_counter() - t0) * 1000.0
-                    trace.rows.append((logged, bound, lr, epoch, elapsed_ms))
-                last_terms = terms[(g1 - 1 - g0) * b :]
-            step += num_batches
+            if probe is not None:
+                for j in range(g0, g1):
+                    probe(step + j, plan.rows[plan.row_ptr[j] : plan.row_ptr[j + 1]])
+            # the first multiple of log_every at or after the group's start
+            first_logged = -(-(step + g0) // log_every) * log_every
+            for logged in range(first_logged, step + g1, log_every):
+                k = logged - step - g0
+                bound = _bound_estimate(rise[k * b : (k + 1) * b], scale_factor)
+                elapsed_ms = (time.perf_counter() - t0) * 1000.0
+                trace.rows.append((logged, bound, lr, epoch, elapsed_ms))
+            last_rise = rise[(g1 - 1 - g0) * b :]
+        step += num_batches
 
     if (step - 1) % log_every != 0:
         # make sure the trace always reflects the end of the run
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
         trace.rows.append(
-            (step - 1, _bound_estimate(last_terms, scale_factor), lr, epoch, elapsed_ms)
+            (step - 1, _bound_estimate(last_rise, scale_factor), lr, epoch, elapsed_ms)
         )
 
     # settle every row's pending decay and check the result in one pass,

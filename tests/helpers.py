@@ -1,5 +1,7 @@
 """Dataset builders and probes shared by the test modules."""
 
+import tracemalloc
+
 from softmax_bounds.datasets import SparseDataset, SparseVector
 
 
@@ -31,3 +33,14 @@ def record_sampler_calls(monkeypatch, module):
 
     monkeypatch.setattr(module, "sample_rival_classes", recording)
     return calls
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Peak bytes traced while ``fn`` runs (numpy reports its buffers to
+    tracemalloc), counting what it returns."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

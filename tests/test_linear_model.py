@@ -1,7 +1,6 @@
 """Tests for linear scores, the three objectives, and their gradients."""
 
 import struct
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -33,7 +32,7 @@ from softmax_bounds.manifest import sha256_file
 from softmax_bounds.rng import substream
 from softmax_bounds.trainer import train
 
-from helpers import rows_of
+from helpers import rows_of, traced_peak
 
 
 def make_data(rng, n, d, k, density=0.5):
@@ -536,18 +535,6 @@ class TestDenseTail:
         assert np.array_equal(predict_proba_all(m, data), e / e.sum(axis=1)[:, None])
 
 
-def _traced_peak(fn, *args):
-    """Peak bytes traced while ``fn(*args)`` runs (numpy reports its buffers
-    to tracemalloc), counting what it returns."""
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return peak
-
-
 @pytest.fixture(scope="module")
 def wide():
     """N = K = 2000, D = 1000, 10 nnz per row: the score matrix is 32 MB and
@@ -582,38 +569,38 @@ class TestDenseTailMemory:
     def test_ove_loglik_streams_class_blocks(self, wide):
         m, data = wide
         assert len(list(_score_blocks(m, data.to_csr()[0]))) >= 4
-        peak = _traced_peak(ove_loglik, m, data, 0.1)
+        peak = traced_peak(ove_loglik, m, data, 0.1)
         assert peak <= 0.05 * len(data) * m.num_classes * 8
 
     def test_save_is_blocked(self, tall, tmp_path):
         m, _ = tall
-        peak = _traced_peak(m.save, str(tmp_path / "m.bin"))
+        peak = traced_peak(m.save, str(tmp_path / "m.bin"))
         assert peak <= 2 * 2**20
 
     def test_train_holds_only_the_returned_model(self, tall):
         m, data = tall
         cfg = TrainConfig(batch_size=10, num_sampled=5, lr0=0.01, epochs=1, lam=0.1, seed=3)
-        peak = _traced_peak(train, m, data, cfg)
+        peak = traced_peak(train, m, data, cfg)
         assert peak <= m.weights.nbytes + 0.05 * m.weights.nbytes
 
     def test_ove_loglik(self, wide):
         m, data = wide
-        peak = _traced_peak(ove_loglik, m, data, 0.1)
+        peak = traced_peak(ove_loglik, m, data, 0.1)
         assert peak < 1.25 * len(data) * m.num_classes * 8
 
     def test_predict_proba_all(self, wide):
         m, data = wide
-        peak = _traced_peak(predict_proba_all, m, data)
+        peak = traced_peak(predict_proba_all, m, data)
         assert peak < 1.25 * len(data) * m.num_classes * 8
 
     def test_save(self, wide, tmp_path):
         m, _ = wide
-        peak = _traced_peak(m.save, str(tmp_path / "m.bin"))
+        peak = traced_peak(m.save, str(tmp_path / "m.bin"))
         assert peak < 0.25 * m.weights.nbytes
 
     def test_load(self, wide, tmp_path):
         m, _ = wide
         path = str(tmp_path / "m.bin")
         m.save(path)
-        peak = _traced_peak(LinearModel.load, path)
+        peak = traced_peak(LinearModel.load, path)
         assert peak < 1.1 * m.weights.nbytes

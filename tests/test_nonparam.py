@@ -12,8 +12,11 @@ The load-bearing facts checked here:
   gradient and converges on a synthetic stream.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from softmax_bounds import nonparam
 from softmax_bounds.bounds import _log_sigmoid_impl, _sigmoid_impl
@@ -31,7 +34,7 @@ from softmax_bounds.nonparam import (
 )
 from softmax_bounds.rng import substream
 
-from helpers import record_sampler_calls
+from helpers import record_sampler_calls, traced_peak
 
 
 def ove_objective_pairwise(f, counts: CountVector) -> float:
@@ -336,7 +339,7 @@ def _sample_rival_classes_rechecking_all(rng, labels, num_classes, num_sampled):
     if s == k - 1:
         grid = np.broadcast_to(np.arange(k), (b, k))
         return grid[grid != labels[:, None]].reshape(b, s)
-    if 3 * s >= k - 1:
+    if 3 * s >= k - 1 or s * s > 2 * (k - 1) * np.log((k - 1) / s):
         base = np.broadcast_to(np.arange(k - 1), (b, k - 1)).copy()
         perm = rng.permuted(base, axis=1)[:, :s]
         return perm + (perm >= labels[:, None])
@@ -443,6 +446,42 @@ class TestRivalSampling:
             sample_rival_classes(rng, np.array([0]), 5, 0)
 
 
+@st.composite
+def sampler_cases(draw):
+    """(K, S, b, seed) in one of three regimes: the full complement,
+    3 S >= K - 1 (per-row permutations), and 3 S < K - 1, which draws by
+    rejection up to the sampler's cost switch and by permutation past it."""
+    regime = draw(st.sampled_from(["complement", "permutation", "rejection"]))
+    if regime == "complement":
+        k = draw(st.integers(2, 300))
+        s = k - 1
+    elif regime == "permutation":
+        k = draw(st.integers(3, 300))
+        s = draw(st.integers(-(-(k - 1) // 3), k - 2))
+    else:
+        k = draw(st.integers(5, 300))
+        s = draw(st.integers(1, (k - 2) // 3))
+    return k, s, draw(st.integers(1, 200)), draw(st.integers(0, 99))
+
+
+class TestRivalSamplingProperties:
+    @given(case=sampler_cases())
+    def test_contract(self, case):
+        k, s, b, seed = case
+        labels = np.random.default_rng([seed, k]).integers(0, k, size=b)
+        got_rng = np.random.default_rng([seed, k, s, b])
+        want_rng = np.random.default_rng([seed, k, s, b])
+        for _ in range(2):
+            got = sample_rival_classes(got_rng, labels, k, s)
+            assert got.shape == (b, s)
+            assert ((got >= 0) & (got < k)).all()
+            assert not (got == labels[:, None]).any()
+            ordered = np.sort(got, axis=1)
+            assert (ordered[:, 1:] != ordered[:, :-1]).all()
+            assert np.array_equal(got, _sample_rival_classes_rechecking_all(want_rng, labels, k, s))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def reference_ove_sgd_fit(labels, num_classes, config, ref_probs):
     """``ove_sgd_fit`` with the per-step arithmetic it had before its steps
     worked on one (label, rivals) class array: two gathers and two
@@ -526,6 +565,48 @@ class TestOveSgdChunkedDraws:
         cfg = TrainConfig(batch_size=100, num_sampled=5, lr0=0.01, epochs=2, seed=1)
         ove_sgd_fit(labels, 50, cfg)
         assert calls == 2 * [1000, 1000, 500]
+
+
+@st.composite
+def ove_sgd_cases(draw):
+    """Labels, K and an ``ove_sgd_fit`` config, with a chunk size for
+    ``nonparam._CHUNK`` (None keeps the default)."""
+    k, n = draw(st.integers(2, 60)), draw(st.integers(1, 300))
+    labels = substream(draw(st.integers(0, 99)), "labels").integers(0, k, size=n)
+    cfg = TrainConfig(batch_size=draw(st.integers(1, 40)), num_sampled=draw(st.integers(1, k - 1)),
+                      lr0=0.05, lr_decay=0.9, epochs=draw(st.integers(1, 3)),
+                      seed=draw(st.integers(0, 99)), log_every=draw(st.integers(1, 20)))
+    return labels, k, cfg, draw(st.none() | st.integers(1, 50))
+
+
+class TestOveSgdProperties:
+    @given(case=ove_sgd_cases())
+    def test_matches_two_bincount_oracle(self, case):
+        labels, k, cfg, chunk = case
+        ref = np.bincount(labels, minlength=k) / labels.size
+        with mock.patch.object(nonparam, "_CHUNK", chunk or nonparam._CHUNK):
+            got = ove_sgd_fit(labels, k, cfg, ref_probs=ref)
+            f, objective_trace, error_trace = reference_ove_sgd_fit(labels, k, cfg, ref)
+        # a class whose score sits at the mean centers to a few ulps of
+        # zero, whose sign the summation order decides, so that entry is
+        # held to 1e-12 of the largest score
+        np.testing.assert_allclose(got.f_hat, f, rtol=1e-12, atol=1e-12 * np.abs(f).max())
+        for got_rows, want_rows in ((got.objective_trace, objective_trace),
+                                    (got.error_trace, error_trace)):
+            assert [i for i, _ in got_rows] == [i for i, _ in want_rows]
+            np.testing.assert_allclose([v for _, v in got_rows], [v for _, v in want_rows],
+                                       rtol=1e-12)
+
+
+class TestOveSgdMemory:
+    def test_step_holds_no_class_sized_array(self):
+        # f_hat and probs are two K-vectors and the finiteness check a K-byte
+        # mask; a step that touched every class would add K-vectors on top
+        k = 2 * 10**6
+        labels = substream(14, "labels").integers(0, k, size=300)
+        cfg = TrainConfig(batch_size=1, num_sampled=5, lr0=0.1, epochs=1, seed=3,
+                          log_every=10**6)
+        assert traced_peak(ove_sgd_fit, labels, k, cfg) <= 2.25 * k * 8
 
 
 class TestOveSgdFit:

@@ -1,10 +1,12 @@
 import csv
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from softmax_bounds import trainer
+from softmax_bounds import nonparam, trainer
 from softmax_bounds.bounds import ConvergenceError, _log_sigmoid_impl, _sigmoid_impl
 from softmax_bounds.config import ConfigError, NumericalError, OptimizerSettings, TrainConfig
 from softmax_bounds.datasets import SparseDataset, SparseVector, gen_toy_5class
@@ -429,7 +431,7 @@ def reference_train(model, data, config, probe=None):
     """``train`` one minibatch at a time: the step loop before steps with
     disjoint rows were fused, kept as the oracle the fused loop must match
     bit for bit. It draws the rivals as ``train`` does, one sampler call per
-    chunk of ``trainer._CHUNK`` instances rounded down to whole batches.
+    chunk of ``nonparam._CHUNK`` instances rounded down to whole batches.
     Returns (weights, biases, trace rows without elapsed_ms)."""
     n = len(data)
     mat, labels_all = data.to_csr()
@@ -453,7 +455,7 @@ def reference_train(model, data, config, probe=None):
     rows_logged = []
     step = 0
     batch_size = min(config.batch_size, n)
-    chunk = max(1, trainer._CHUNK // batch_size) * batch_size
+    chunk = max(1, nonparam._CHUNK // batch_size) * batch_size
     last_logged = -1
     for epoch in range(config.epochs):
         lr = config.lr0 * config.lr_decay**epoch
@@ -582,7 +584,7 @@ class TestFusedSteps:
     def test_matches_across_small_chunks(self, batch_size, monkeypatch):
         # a chunk of 10 instances is 10 steps at b = 1 and 3 steps at b = 3,
         # so groups, the decay sums and the trace cross many chunk ends
-        monkeypatch.setattr(trainer, "_CHUNK", 10)
+        monkeypatch.setattr(nonparam, "_CHUNK", 10)
         k, d = 300, 30
         data = sparse_dataset(substream(42, "data"), 101, k, d, nnz=3, empty_share=0.1)
         cfg = TrainConfig(batch_size=batch_size, num_sampled=3, lr0=0.3, lr_decay=0.8,
@@ -613,7 +615,7 @@ class TestFusedSteps:
     @pytest.mark.parametrize("batch_size, chunk", [(1, 1024), (3, 1023)])
     def test_one_sampler_call_per_chunk(self, batch_size, chunk, monkeypatch):
         # 2500 instances are two whole chunks and a partial one per epoch
-        calls = record_sampler_calls(monkeypatch, trainer)
+        calls = record_sampler_calls(monkeypatch, nonparam)
         k, d, n = 300, 10, 2500
         data = sparse_dataset(substream(46, "data"), n, k, d, nnz=2)
         cfg = TrainConfig(batch_size=batch_size, num_sampled=5, lr0=0.1, epochs=2, seed=4)
@@ -644,6 +646,33 @@ class TestFusedSteps:
         position = int(np.flatnonzero(substream(cfg.seed, "shuffle").permutation(n) == 0)[0])
         group_start = sum(calls[:-1])
         assert group_start + batch_size <= position < group_start + calls[-1]
+
+
+@st.composite
+def train_cases(draw):
+    """A sparse dataset, its shape and a ``train`` config, with a chunk size
+    for ``nonparam._CHUNK`` (None keeps the default): shapes small enough
+    for ``reference_train``, with shared features, empty rows, partial last
+    batches and all three sampler regimes."""
+    n, k, d = draw(st.integers(1, 40)), draw(st.integers(2, 300)), draw(st.integers(1, 6))
+    data = sparse_dataset(substream(draw(st.integers(0, 99)), "data"), n, k, d,
+                          nnz=draw(st.integers(1, d)),
+                          empty_share=draw(st.sampled_from([0.0, 0.3, 1.0])))
+    cfg = TrainConfig(batch_size=draw(st.integers(1, 12)), num_sampled=draw(st.integers(1, k - 1)),
+                      lr0=0.3, lr_decay=0.8, epochs=draw(st.integers(1, 2)),
+                      lam=draw(st.sampled_from([0.0, 0.5])), seed=draw(st.integers(0, 99)),
+                      log_every=draw(st.integers(1, 5)))
+    return data, k, d, cfg, draw(st.none() | st.integers(1, 24))
+
+
+class TestTrainProperties:
+    """``train`` matches ``reference_train`` bit for bit on drawn cases."""
+
+    @given(case=train_cases())
+    def test_matches_one_step_at_a_time(self, case):
+        data, k, d, cfg, chunk = case
+        with mock.patch.object(nonparam, "_CHUNK", chunk or nonparam._CHUNK):
+            TestFusedSteps.both(data, k, d, cfg)
 
 
 class TestFitFullBatch:
