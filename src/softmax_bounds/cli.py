@@ -15,7 +15,8 @@ Every command writes a ``manifest.json`` listing input hashes, output
 hashes, and the configuration, so reruns can be verified byte for byte.
 Set ``SOFTMAX_BOUNDS_THREADS`` to pin the BLAS/OpenMP thread count; it
 must take effect before numpy first loads, which is why this module
-imports the numerical stack lazily.
+imports the numerical stack lazily. It does not cover the one helper
+thread on which ``train`` writes and hashes the checkpoint.
 """
 
 from __future__ import annotations
@@ -260,6 +261,8 @@ def _evaluate(model, data):
 
 
 def _cmd_train(args) -> int:
+    from concurrent.futures import ThreadPoolExecutor
+
     from softmax_bounds.config import TrainConfig
     from softmax_bounds.datasets import unify_pair
     from softmax_bounds.linear_model import (
@@ -319,10 +322,18 @@ def _cmd_train(args) -> int:
         bound_final = rows[-1][1]
         manifest.config = {"objective": args.objective, "lam": args.lam}
 
+    # save and _evaluate only read W and spend their time with the GIL
+    # released, so one helper thread writes and hashes the checkpoint while
+    # this thread evaluates
     ckpt_path = os.path.join(args.out, "checkpoint.bin")
-    ckpt_sha256 = fitted.save(ckpt_path)
-
-    error, mean_nlpd = _evaluate(fitted, eval_data)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        saved = pool.submit(fitted.save, ckpt_path)
+        try:
+            error, mean_nlpd = _evaluate(fitted, eval_data)
+        finally:
+            # joined before anything else is written; a save error replaces
+            # an evaluation error, as when the save ran first
+            ckpt_sha256 = saved.result()
     report = MethodReport(
         method=args.objective, error=error, nlpd=mean_nlpd, bound_final=bound_final
     )

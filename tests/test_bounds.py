@@ -7,6 +7,8 @@ inequalities the bounds must satisfy on randomized inputs.
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from softmax_bounds.bounds import (
     ConvergenceError,
@@ -334,3 +336,64 @@ class TestBouchard:
         a = optimize_alpha(f)
         s = 1.0 / (1.0 + np.exp(np.clip(a - f, -700, 700)))
         assert abs(s.sum() - 1.0) <= 1e-10
+
+
+@st.composite
+def extreme_scores(draw):
+    """(f, k): K in [2, 50] scores of magnitude up to 1e4, and a class.
+
+    The scores are scale * (center + unit) / 2 with center and the entries
+    of unit in [-1, 1], so both tight clusters far from zero and spreads
+    wide enough to overflow an unshifted exp come up.
+    """
+    num_classes = draw(st.integers(2, 50))
+    scale = 10.0 ** draw(st.floats(0.0, 4.0))
+    center = draw(st.floats(-1.0, 1.0))
+    unit = draw(arrays(np.float64, num_classes, elements=st.floats(-1.0, 1.0)))
+    return scale * 0.5 * (center + unit), draw(st.integers(0, num_classes - 1))
+
+
+def float_slack(f):
+    """Rounding allowance for a log-space sum over scores as large as |f|."""
+    return 8 * np.finfo(np.float64).eps * max(1.0, float(np.max(np.abs(f))))
+
+
+class TestExtremeMagnitudes:
+    """The bound inequalities with scores up to 1e4 in magnitude, where an
+    unshifted exp overflows and a log-space sum loses absolute precision."""
+
+    @given(extreme_scores())
+    def test_ove_lower_bounds_exact(self, case):
+        f, k = case
+        assert ove_log_bound(f, k) <= f[k] - log_sum_exp(f) + float_slack(f)
+
+    @given(extreme_scores())
+    def test_bouchard_at_optimal_alpha_lower_bounds_exact(self, case):
+        f, k = case
+        bound = bouchard_log_bound(f, k, optimize_alpha(f))
+        assert bound <= f[k] - log_sum_exp(f) + float_slack(f)
+
+    @given(extreme_scores(), st.data())
+    def test_hierarchical_lower_bounds_exact(self, case, data):
+        f, k = case
+        rivals = data.draw(st.permutations([m for m in range(len(f)) if m != k]))
+        cuts = data.draw(st.lists(st.booleans(), min_size=len(rivals) - 1,
+                                  max_size=len(rivals) - 1))
+        blocks, start = [], 0
+        for i, cut in enumerate(cuts, start=1):
+            if cut:
+                blocks.append(tuple(rivals[start:i]))
+                start = i
+        blocks.append(tuple(rivals[start:]))
+        part = LabelPartition(target=k, blocks=tuple(blocks))
+        assert hierarchical_log_bound(f, part) <= f[k] - log_sum_exp(f) + float_slack(f)
+
+    @given(extreme_scores(), st.one_of(st.none(), st.floats(-2.0, 2.0)))
+    def test_lse_upper_dominates_lse(self, case, offset):
+        # offset None takes the optimal alpha, else alpha = offset * max|f|
+        f, _ = case
+        if offset is None:
+            alpha = optimize_alpha(f)
+        else:
+            alpha = offset * max(1.0, float(np.max(np.abs(f))))
+        assert bouchard_lse_upper(f, alpha) >= log_sum_exp(f) - float_slack(f)

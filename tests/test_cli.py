@@ -3,13 +3,16 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from softmax_bounds import cli
+from softmax_bounds.config import NumericalError
 from softmax_bounds.datasets import gen_toy_5class, write_sparse
-from softmax_bounds.linear_model import LinearModel
+from softmax_bounds.linear_model import _HEADER, LinearModel
 from softmax_bounds.manifest import SCOPE_FULL, RunManifest, sha256_file
 
 
@@ -382,6 +385,85 @@ class TestTrain:
         rc = cli.main(["train", "--train", train, "--objective", "ove-sgd",
                        "--S", "10", "--out", str(tmp_path / "run")])
         assert rc == 2
+
+
+class TestOverlappedTail:
+    """``train`` writes and hashes the checkpoint on a helper thread while
+    it evaluates; the join must end that overlap before anything else is
+    written, on success and on failure."""
+
+    @pytest.fixture
+    def argv(self, toy_files, tmp_path):
+        train, test = toy_files
+        return ["train", "--train", train, "--test", test, "--objective", "soft",
+                "--lam", "1.0", "--out", str(tmp_path / "run")]
+
+    @pytest.fixture
+    def slow_save(self, monkeypatch):
+        """Make ``LinearModel.save`` wait before it writes, so an evaluation
+        on the toy set ends first, and record its digest and the files in
+        the output directory when it returns."""
+        calls = []
+        real = LinearModel.save
+
+        def save(model, path):
+            time.sleep(0.2)
+            digest = real(model, path)
+            calls.append((digest, sorted(os.listdir(os.path.dirname(path)))))
+            return digest
+
+        monkeypatch.setattr(LinearModel, "save", save)
+        return calls
+
+    @staticmethod
+    def failing_evaluate(model, data):
+        raise NumericalError("evaluation overflowed")
+
+    @staticmethod
+    def run(argv):
+        """Exit code of ``cli.main(argv)`` and the threads it left alive."""
+        before = set(threading.enumerate())
+        rc = cli.main(argv)
+        return rc, [t for t in threading.enumerate() if t not in before]
+
+    def test_success_joins_before_report(self, argv, slow_save):
+        rc, alive = self.run(argv)
+        assert rc == 0
+        assert alive == []
+        ((digest, files_at_save),) = slow_save
+        assert files_at_save == ["checkpoint.bin", "trace.csv"]
+        out = argv[-1]
+        manifest = read_json(os.path.join(out, "manifest.json"))
+        (entry,) = [o for o in manifest["outputs"] if o["path"].endswith("checkpoint.bin")]
+        assert entry["sha256"] == digest
+
+    def test_save_error_wins_over_evaluation_error(self, argv, monkeypatch, capsys):
+        def save(model, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(LinearModel, "save", save)
+        monkeypatch.setattr(cli, "_evaluate", self.failing_evaluate)
+        rc, alive = self.run(argv)
+        assert rc == 3
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert alive == []
+        assert sorted(os.listdir(argv[-1])) == ["trace.csv"]
+
+    def test_evaluation_error_leaves_complete_checkpoint(
+        self, argv, slow_save, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "_evaluate", self.failing_evaluate)
+        rc, alive = self.run(argv)
+        assert rc == 1
+        assert capsys.readouterr().err == "error: evaluation overflowed\n"
+        assert alive == []
+        out = argv[-1]
+        assert sorted(os.listdir(out)) == ["checkpoint.bin", "trace.csv"]
+        ckpt = os.path.join(out, "checkpoint.bin")
+        k, d = 5, 2
+        assert os.path.getsize(ckpt) == _HEADER.size + 8 * (k * d + k)
+        ((digest, _),) = slow_save
+        assert sha256_file(ckpt) == digest
 
 
 class TestCompare:
