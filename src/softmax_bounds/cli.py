@@ -413,15 +413,12 @@ def _cmd_compare(args) -> int:
             raise CheckpointError(
                 f"checkpoint {path} shape does not match the reference"
             )
+        try:
+            norm = param_norm(reference, model)
+        except ValueError as exc:  # shapes match, so the reference is zero
+            raise CheckpointError(f"reference checkpoint {ref_path}: {exc}") from None
         error, mean_nlpd = _evaluate(model, test_data)
-        reports.append(
-            MethodReport(
-                method=name,
-                error=error,
-                nlpd=mean_nlpd,
-                norm=param_norm(reference, model),
-            )
-        )
+        reports.append(MethodReport(method=name, error=error, nlpd=mean_nlpd, norm=norm))
 
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "reports.csv")

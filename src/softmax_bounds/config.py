@@ -24,21 +24,17 @@ class OptimizerSettings:
     """Settings for deterministic full-batch fits.
 
     grad_tol is on the infinity norm of the gradient at the solution;
-    max_iter caps iterations of the outer loop (ascent steps or L-BFGS
-    iterations depending on the fitter).
+    max_iter caps L-BFGS iterations, which every deterministic fitter runs.
     """
 
     grad_tol: float = 1e-8
     max_iter: int = 50_000
-    initial_step: float = 1.0
 
     def validate(self) -> None:
         if not self.grad_tol > 0:
             raise ConfigError(f"grad_tol must be positive, got {self.grad_tol}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not self.initial_step > 0:
-            raise ConfigError(f"initial_step must be positive, got {self.initial_step}")
 
 
 @dataclass(frozen=True)

@@ -112,7 +112,7 @@ class LinearModel:
         weights = np.ascontiguousarray(self.weights, dtype="<f8")
         biases = np.ascontiguousarray(self.biases, dtype="<f8")
         digest = hashlib.sha256(header)
-        for block in [*(weights[rows] for rows in _row_slices(k, d)), biases]:
+        for block in _param_blocks(weights, biases):
             if not np.isfinite(block).all():
                 raise ValueError("model parameters contain non-finite values")
             digest.update(block)
@@ -141,7 +141,10 @@ class LinearModel:
             # a file that shrank after the size check reads short
             if fh.readinto(params.data) != params.nbytes:
                 raise CheckpointError(f"{path}: checkpoint changed while being read")
-        return cls(params[: k * d].reshape(k, d), params[k * d :])
+        weights, biases = params[: k * d].reshape(k, d), params[k * d :]
+        if not all(np.isfinite(block).all() for block in _param_blocks(weights, biases)):
+            raise CheckpointError(f"{path}: checkpoint holds non-finite parameters")
+        return cls(weights, biases)
 
 
 @dataclass
@@ -228,6 +231,12 @@ def _row_slices(num_rows: int, row_len: int):
     """Slices of consecutive rows of about ``_BLOCK`` elements each."""
     step = max(1, _BLOCK // max(1, row_len))
     return (slice(r, r + step) for r in range(0, num_rows, step))
+
+
+def _param_blocks(weights: np.ndarray, biases: np.ndarray):
+    """The blocks in which ``save`` and ``load`` check a checkpoint."""
+    yield from (weights[rows] for rows in _row_slices(*weights.shape))
+    yield biases
 
 
 def _penalty(model: LinearModel, lam: float) -> float:

@@ -6,10 +6,10 @@ N_1..N_K, the exact MLE is p_k = N_k / N. The estimators here maximize,
 instead of the exact log likelihood, the lower-bound surrogates from
 :mod:`softmax_bounds.bounds`:
 
-* ``ove_fit``      -- sum_k N_k * ove_log_bound(f, k), full-batch ascent
+* ``ove_fit``      -- sum_k N_k * ove_log_bound(f, k), by L-BFGS
 * ``bouchard_fit`` -- sum_k N_k * bouchard_log_bound(f, k, alpha), one
                       shared alpha, maximized over alpha exactly at every
-                      f by the same ascent as ``ove_fit``
+                      f and over f by the same L-BFGS
 * ``ove_sgd_fit``  -- the OVE surrogate again, but optimized from a label
                       stream with doubly stochastic SGD: minibatches over
                       observations and a subsample of rival classes
@@ -21,6 +21,7 @@ All fitted scores are gauge-fixed to sum to zero over the active classes.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,80 +209,103 @@ def bouchard_objective(f, alpha: float, counts: CountVector) -> float:
     return float(c @ (arr - alpha) - n * np.sum(_softplus_impl(arr - alpha)))
 
 
-def _ascend(value_and_grad, x0, settings: OptimizerSettings):
-    """Gradient ascent with Armijo backtracking and guarded step growth.
+_MEMORY = 10  # curvature pairs the L-BFGS two-loop recursion keeps
+# ``_maximize`` gives up after this many iterations in a row that gain no
+# more than float noise and leave the gradient inf-norm above half its best
+_STALL = 50
+_CONVERGED = "converged"
 
-    Near the optimum the true per-step gain drops below the resolution of
-    the objective value in float64, so two safeguards keep the iteration on
-    the fixed-step contraction path instead of a step-doubling random walk:
-    acceptance tolerates a few ulps of value noise, and the step only grows
-    after a first-try acceptance whose gain was numerically meaningful.
 
-    Returns (x, value, trace). Raises ConvergenceError when the gradient
-    tolerance is not met within the iteration budget.
+def _maximize(value_and_grad, x0, settings: OptimizerSettings):
+    """Maximize a smooth concave function by L-BFGS (Liu & Nocedal, 1989);
+    it lives here, not in ``trainer``, because ``estimate`` imports no scipy.
+
+    The two-loop recursion runs over the last ``_MEMORY`` pairs (step s,
+    gradient fall y) with s.y > 1e-12 y.y, from the inverse Hessian s.y / y.y
+    of the newest; the first direction is g / max(1, |g|), and one that does
+    not ascend is g. The unit step halves until Armijo's test holds or, as
+    the gain near the optimum falls below float resolution, until the value
+    is within a few ulps and the gradient norm does not grow. Returns
+    (x, value, grad, trace [(iteration, value)], reason) at the last accepted
+    iterate; reason is ``"converged"`` once the gradient inf-norm is at most
+    ``settings.grad_tol`` and otherwise says why it stopped.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     val, grad = value_and_grad(x)
-    trace = [(0, float(val))]
-    step = settings.initial_step
-    for it in range(1, settings.max_iter + 1):
+    trace, pairs = [(0, float(val))], deque(maxlen=_MEMORY)
+    best, stall, gain, noise = np.inf, 0, np.inf, 0.0
+    for it in range(1, settings.max_iter + 2):
         gmax = float(np.max(np.abs(grad)))
-        if gmax <= settings.grad_tol:
-            return x, float(val), trace
-        g2 = float(grad @ grad)
-        noise = 4.0 * np.spacing(max(abs(val), 1.0))
-        halved = False
+        stall = 0 if gain > noise or gmax <= 0.5 * best else stall + 1
+        best = best if stall else min(best, gmax)
+        reason = (_CONVERGED if gmax <= settings.grad_tol
+                  else "gradient is NaN" if np.isnan(gmax)
+                  else f"no progress in {_STALL} iterations" if stall == _STALL
+                  else f"max_iter {settings.max_iter} spent" if it > settings.max_iter else None)
+        if reason:
+            return x, val, grad, trace, reason
+        direction, alphas = grad.copy(), []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ direction))
+            direction -= alphas[-1] * y
+        direction *= gamma if pairs else 1.0 / max(1.0, float(np.linalg.norm(grad)))
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            direction += (a - rho * (y @ direction)) * s
+        g2, slope = float(grad @ grad), float(grad @ direction)
+        if not slope > 0:
+            direction, slope = grad, g2
+        noise, step = 4.0 * np.spacing(max(abs(val), 1.0)), 1.0
         while True:
-            cand = x + step * grad
+            cand = x + step * direction
             cval, cgrad = value_and_grad(cand)
-            if np.isfinite(cval):
-                if cval >= val + 1e-4 * step * g2:
-                    break
-                # value gain below float resolution: accept only if the step
-                # is contracting (gradient norm not growing), which rejects
-                # neutral oscillation at the stability edge
-                if cval >= val - noise and float(cgrad @ cgrad) <= g2:
-                    break
+            if np.isfinite(cval) and (cval >= val + 1e-4 * step * slope or (
+                    cval >= val - noise and float(cgrad @ cgrad) <= g2)):
+                break
             step *= 0.5
-            halved = True
             if step < 1e-18:
-                raise ConvergenceError(
-                    f"line search stalled with gradient inf-norm {gmax:.3e} "
-                    f"(tol {settings.grad_tol:.1e}) at iteration {it}"
-                )
-        if not halved and cval - val > 4.0 * noise:
-            step *= 2.0
-        x, val, grad = cand, float(cval), cgrad
+                return x, val, grad, trace, "line search step below 1e-18"
+        s, y = cand - x, grad - cgrad
+        sy, yy = float(s @ y), float(y @ y)
+        if sy > 1e-12 * yy:
+            pairs.append((s, y, 1.0 / sy))
+            gamma = sy / yy
+        gain, x, val, grad = cval - val, cand, float(cval), cgrad
         trace.append((it, val))
-    raise ConvergenceError(
-        f"gradient inf-norm {float(np.max(np.abs(grad))):.3e} > {settings.grad_tol:.1e} "
-        f"after {settings.max_iter} iterations"
-    )
+
+
+def _gated(result, settings: OptimizerSettings, what: str = ""):
+    """(x, trace) of a ``_maximize`` result that met the gate, else ConvergenceError."""
+    x, _, grad, trace, reason = result
+    if reason != _CONVERGED:
+        raise ConvergenceError(
+            f"{what}gradient inf-norm {float(np.max(np.abs(grad))):.3e} > {settings.grad_tol:.1e} "
+            f"after {len(trace) - 1} iterations ({reason})")
+    return x, trace
 
 
 def ove_fit(
     counts: CountVector, settings: OptimizerSettings = OptimizerSettings()
 ) -> EstimationResult:
-    """Maximize the one-vs-each surrogate by full-batch gradient ascent.
+    """Maximize the one-vs-each surrogate by L-BFGS (``_maximize``).
 
     Starts from f = 0 on the active (count > 0) classes. The surrogate is
     concave and shares its global maximizer with the exact likelihood
     (f = log counts + const), so the fitted probabilities reproduce
-    N_k / N to optimizer tolerance.
+    N_k / N to optimizer tolerance. Raises ConvergenceError, with the stop
+    reason, if the gradient inf-norm stays above ``settings.grad_tol``.
     """
     settings.validate()
-    c = counts.counts
-    active = np.flatnonzero(c > 0)
-    sub = CountVector(c[active]) if active.size >= 2 else None
-    if sub is None:
+    active = np.flatnonzero(counts.counts > 0)
+    if active.size < 2:
         # one active class: the surrogate is maximized by pushing its score
         # to +inf; report the degenerate exact answer instead
         return _pad_result("ove", counts, active, np.zeros(1), [(0, 0.0)])
+    sub = CountVector(counts.counts[active])
 
     def vg(f):
         return ove_objective(f, sub), ove_objective_grad(f, sub)
 
-    f, _, trace = _ascend(vg, np.zeros(active.size), settings=settings)
+    f, trace = _gated(_maximize(vg, np.zeros(active.size), settings), settings)
     return _pad_result("ove", counts, active, f, trace)
 
 
@@ -290,7 +314,7 @@ def bouchard_fit(
 ) -> EstimationResult:
     """Maximize the shared-alpha variational bound.
 
-    Runs ``_ascend`` on the profile objective P(f) = max_alpha G(f, alpha),
+    Runs ``_maximize`` on the profile objective P(f) = max_alpha G(f, alpha),
     with alpha*(f) from ``optimize_alpha``. Its gradient is the envelope
     gradient N_k - N sigmoid(f_k - alpha*(f)), because dG/dalpha vanishes at
     alpha*. G is jointly concave, so P is concave and its maximizer is the
@@ -298,24 +322,20 @@ def bouchard_fit(
     proportional to N_k / (N - N_k). Since x / (N - x) is convex, the fit
     systematically exaggerates the exact MLE: frequent classes gain mass,
     rare classes lose it (for K = 2 the fitted odds are the squared
-    empirical odds).
+    empirical odds). Raises ConvergenceError as ``ove_fit`` does.
     """
     settings.validate()
-    c_full = counts.counts
-    active = np.flatnonzero(c_full > 0)
+    active = np.flatnonzero(counts.counts > 0)
     if active.size < 2:
-        return _pad_result(
-            "bouchard", counts, active, np.zeros(1), [(0, 0.0)], alpha=0.0
-        )
-    sub = CountVector(c_full[active])
-    c = sub.counts.astype(np.float64)
-    n = c.sum()
+        return _pad_result("bouchard", counts, active, np.zeros(1), [(0, 0.0)], alpha=0.0)
+    sub = CountVector(counts.counts[active])
+    c, n = sub.counts.astype(np.float64), float(sub.total)
 
     def vg(f):
         alpha = optimize_alpha(f)
         return bouchard_objective(f, alpha, sub), c - n * _sigmoid_impl(f - alpha)
 
-    f, _, trace = _ascend(vg, np.zeros(active.size), settings=settings)
+    f, trace = _gated(_maximize(vg, np.zeros(active.size), settings), settings)
     # report alpha in the same gauge as the returned scores (sum f = 0)
     alpha = optimize_alpha(f) - f.mean()
     return _pad_result("bouchard", counts, active, f, trace, alpha=alpha)

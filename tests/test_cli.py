@@ -105,6 +105,29 @@ class TestEstimate:
         raw = np.array([7000, 2000, 1000]) / np.array([3000, 8000, 9000])
         np.testing.assert_allclose(probs["probs"], raw / raw.sum(), rtol=1e-9)
 
+    def test_ove_skewed_counts_converge(self, tmp_path):
+        # the rarest class's curvature is about 1e-5 of the largest one's,
+        # which fixed-step gradient ascent could not cross in 50000 steps
+        counts = np.array([100000, 1000, 10, 1])
+        out = str(tmp_path / "run")
+        assert cli.main(["estimate", "--method", "ove",
+                         "--counts", "100000,1000,10,1", "--out", out]) == 0
+        probs = read_json(os.path.join(out, "probs.json"))
+        np.testing.assert_allclose(probs["probs"], counts / counts.sum(), rtol=0, atol=1e-6)
+
+    def test_bouchard_skewed_counts_fail_fast_with_reason(self, tmp_path):
+        # out of reach of the gate (about 1e-6 against 1e-8): the fit must
+        # fail within seconds and say why, not spend its 50000 iterations
+        result = subprocess.run(
+            [sys.executable, "-m", "softmax_bounds.cli", "estimate",
+             "--method", "bouchard", "--counts", "100000,1000,10,1",
+             "--out", str(tmp_path / "run")],
+            capture_output=True, text=True, timeout=5,
+        )
+        assert result.returncode == 1
+        assert "gradient inf-norm" in result.stderr
+        assert "(no progress in 50 iterations)" in result.stderr
+
     def test_labels_file(self, tmp_path):
         path = tmp_path / "labels.txt"
         path.write_text("1\n1\n2\n2\n2\n3\n3\n3\n3\n3\n", encoding="utf-8")
@@ -534,6 +557,35 @@ class TestCompare:
                        "--candidate", f"bad2={bad}",
                        "--test", test, "--out", str(tmp_path / "cmp")])
         assert rc == 3
+
+    def test_zero_reference_is_data_error(self, trained, toy_files, tmp_path, capsys):
+        # every distance is relative to the gauge-fixed reference's norm
+        _, test = toy_files
+        ref = tmp_path / "zero.bin"
+        LinearModel.zeros(5, 2).save(str(ref))
+        out = tmp_path / "cmp"
+        rc = cli.main(["compare", "--reference", f"zero={ref}",
+                       "--candidate", f"soft={trained['soft']}/checkpoint.bin",
+                       "--test", test, "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(ref) in err and "zero after gauge fixing" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("role", ["reference", "candidate"])
+    def test_non_finite_checkpoint_is_data_error(self, trained, toy_files, tmp_path,
+                                                 capsys, role):
+        _, test = toy_files
+        good = f"{trained['soft']}/checkpoint.bin"
+        bad = tmp_path / "nan.bin"
+        blob = bytearray(open(good, "rb").read())
+        blob[24:32] = np.array([np.nan], dtype="<f8").tobytes()
+        bad.write_bytes(bytes(blob))
+        ref, cand = (bad, good) if role == "reference" else (good, bad)
+        rc = cli.main(["compare", "--reference", f"r={ref}", "--candidate", f"c={cand}",
+                       "--test", test, "--out", str(tmp_path / "cmp")])
+        assert rc == 3
+        assert "non-finite" in capsys.readouterr().err
 
     def test_shape_mismatch(self, toy_files, tmp_path, capsys):
         _, test = toy_files

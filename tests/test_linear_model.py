@@ -422,6 +422,21 @@ class TestCheckpoint:
             m.save(str(path))
         assert not path.exists()
 
+    @pytest.mark.parametrize("where", ["first weight", "last weight", "bias"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_load_rejects_nonfinite(self, tmp_path, where, bad):
+        # save never writes such a file, so load treats it as malformed;
+        # K * D spans several of the blocks load checks
+        k, d = 300, 250
+        path = tmp_path / "m.bin"
+        make_model(substream(28, "ckpt"), k, d).save(str(path))
+        offset = {"first weight": 0, "last weight": k * d - 1, "bias": k * d + 7}[where]
+        blob = bytearray(path.read_bytes())
+        blob[24 + 8 * offset : 32 + 8 * offset] = struct.pack("<d", bad)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="non-finite"):
+            LinearModel.load(str(path))
+
 
 def _ove_loglik_oracle(model, data, lam):
     """The unblocked formula: one (N, K) log-sigmoid matrix, one sum."""

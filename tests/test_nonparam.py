@@ -464,6 +464,33 @@ def sampler_cases(draw):
     return k, s, draw(st.integers(1, 200)), draw(st.integers(0, 99))
 
 
+@st.composite
+def count_vectors(draw):
+    """K in [2, 30] counts up to 1e4, at least two of them non-zero."""
+    k = draw(st.integers(2, 30))
+    counts = draw(st.lists(st.integers(0, 10**4), min_size=k, max_size=k)
+                  .filter(lambda c: sum(n > 0 for n in c) >= 2))
+    return CountVector(np.array(counts))
+
+
+class TestCountFitProperties:
+    """The L-BFGS fits against the closed forms of their optima."""
+
+    @given(counts=count_vectors())
+    def test_ove_fit_is_the_mle(self, counts):
+        res = ove_fit(counts)
+        np.testing.assert_allclose(res.probs, counts.counts / counts.total, rtol=0, atol=1e-7)
+
+    @given(counts=count_vectors())
+    def test_bouchard_fit_solves_its_stationarity(self, counts):
+        # the gate |N_k - N sigmoid(f_k - alpha)| <= 1e-8 bounds each
+        # sigmoid's distance to N_k / N by 1e-8 / N, up to rounding
+        res = bouchard_fit(counts)
+        sig = _sigmoid_impl(res.f_hat - res.alpha)
+        n = counts.total
+        np.testing.assert_allclose(sig, counts.counts / n, rtol=0, atol=1e-8 / n + 1e-15)
+
+
 class TestRivalSamplingProperties:
     @given(case=sampler_cases())
     def test_contract(self, case):

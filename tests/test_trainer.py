@@ -1,4 +1,6 @@
 import csv
+import importlib.util
+import pathlib
 import warnings
 from unittest import mock
 
@@ -9,7 +11,7 @@ from hypothesis import given, strategies as st
 from softmax_bounds import nonparam, trainer
 from softmax_bounds.bounds import ConvergenceError, _log_sigmoid_impl, _sigmoid_impl
 from softmax_bounds.config import ConfigError, NumericalError, OptimizerSettings, TrainConfig
-from softmax_bounds.datasets import SparseDataset, SparseVector, gen_toy_5class
+from softmax_bounds.datasets import SparseDataset, SparseVector, gen_toy_5class, load_sparse
 from softmax_bounds.linear_model import (
     KIND_BOUCHARD,
     KIND_EXACT,
@@ -36,10 +38,25 @@ from softmax_bounds.trainer import (
 
 from helpers import dense_dataset, record_sampler_calls, rows_of
 
+PERFBENCH_GEN = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+
 
 @pytest.fixture(scope="module")
 def toy200():
     return gen_toy_5class(200, seed=7)
+
+
+@pytest.fixture(scope="module")
+def mnistlike(tmp_path_factory):
+    """The training split of the benchmark's ``fullbatch-mnistlike``
+    workload: 150 rows, K=10, D=784, from its own generator."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH_GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    labels, rows = gen.mnistlike_rows(np.random.default_rng([4, 2]), 150)
+    path = tmp_path_factory.mktemp("mnistlike") / "train.txt"
+    gen.write_libsvm(str(path), labels, rows, 10, 784)
+    return load_sparse(str(path))
 
 
 @pytest.fixture(scope="module")
@@ -738,6 +755,24 @@ class TestFitFullBatch:
 
         with pytest.raises(ConvergenceError, match="gradient inf-norm nan"):
             _lbfgs(value_and_grad, LinearModel.zeros(3, 2), OptimizerSettings())
+
+    @pytest.mark.parametrize("kind", [KIND_EXACT, KIND_OVE, KIND_BOUCHARD])
+    def test_evaluations_per_iteration(self, mnistlike, kind, monkeypatch):
+        # the line search rarely backtracks from the unit quasi-Newton step
+        evaluations = []
+        maximize = trainer._maximize
+
+        def counting(value_and_grad, x0, settings):
+            def counted(x):
+                evaluations.append(None)
+                return value_and_grad(x)
+
+            return maximize(counted, x0, settings)
+
+        monkeypatch.setattr(trainer, "_maximize", counting)
+        _, trace = fit_full_batch(LinearModel.zeros(10, 784), mnistlike,
+                                  Objective(kind=kind, lam=1.0))
+        assert len(evaluations) <= 1.5 * (len(trace) - 1)
 
     @pytest.mark.parametrize("kind", [KIND_EXACT, KIND_OVE, KIND_BOUCHARD])
     def test_stalled_fit_raises(self, kind):
