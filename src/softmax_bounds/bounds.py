@@ -112,6 +112,25 @@ log_sigmoid.__doc__ = "log of the logistic function, computed without underflow 
 softplus.__doc__ = "log(1 + exp(z)) computed without overflow."
 
 
+# The package's only max-shifted softmax and log-sum-exp, on one score vector
+# or one per row: a score more than the float range below its row's top gets
+# probability 0, and a row whose top is not finite comes out NaN, silently.
+def _softmax_rows(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax of each row of ``f``, in place when ``out`` is ``f``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.subtract(f, f.max(axis=-1, keepdims=True), out=out)
+    e /= np.exp(e, out=e).sum(axis=-1, keepdims=True)
+    return e
+
+
+def _log_sum_exp_rows(f: np.ndarray) -> np.ndarray:
+    """log sum_k exp(f_k) of each row of ``f``."""
+    top = f.max(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = f - top[..., None]
+    return top + np.log(np.exp(e, out=e).sum(axis=-1))
+
+
 def log_sum_exp(f) -> float:
     """log sum_k exp(f_k) via the max-shift identity.
 
@@ -126,16 +145,12 @@ def log_sum_exp(f) -> float:
         if m == -np.inf:
             return float("-inf")
         raise ValueError("score vector contains nan or +inf")
-    with np.errstate(divide="ignore"):
-        return float(m + np.log(np.sum(np.exp(arr - m))))
+    return float(_log_sum_exp_rows(arr))
 
 
 def softmax(f) -> np.ndarray:
     """Exact softmax probabilities exp(f_k - LSE(f))."""
-    arr = _as_scores(f)
-    shifted = arr - np.max(arr)
-    e = np.exp(shifted)
-    return e / e.sum()
+    return _softmax_rows(_as_scores(f))
 
 
 def softmax_prob(f, k: int) -> float:
@@ -257,15 +272,13 @@ def bouchard_log_bound(f, k: int, alpha: float) -> float:
     return float((arr[k] - alpha) - np.sum(_softplus_impl(arr - alpha)))
 
 
-def optimize_alpha(f, tol: float = ALPHA_TOL, max_iter: int = ALPHA_MAX_ITER) -> float:
+def optimize_alpha(f) -> float:
     """Minimize the LSE upper bound over alpha: ``optimize_alpha_batch`` of
     the one score vector ``f``."""
-    return float(optimize_alpha_batch(_as_scores(f)[None], tol, max_iter)[0])
+    return float(optimize_alpha_batch(_as_scores(f)[None])[0])
 
 
-def optimize_alpha_batch(
-    scores: np.ndarray, tol: float = ALPHA_TOL, max_iter: int = ALPHA_MAX_ITER
-) -> np.ndarray:
+def optimize_alpha_batch(scores: np.ndarray) -> np.ndarray:
     """Row-wise minimizer of the LSE upper bound for a matrix of score vectors.
 
     ``scores`` has shape (N, K); returns alpha of shape (N,). Each optimum
@@ -273,10 +286,10 @@ def optimize_alpha_batch(
     decreasing equation, by Newton steps from LSE(f) inside a bracket that
     every residual tightens. A step that would leave the bracket, or that
     is more than half the previous step (a flat stretch of r), bisects
-    instead. Once every row meets ``tol`` the solve takes one more step,
+    instead. Once every row meets ``ALPHA_TOL`` the solve takes one more step,
     which Newton's quadratic convergence carries to the float floor, and
     returns each row's best evaluated alpha. Raises ConvergenceError if
-    some |residual| > tol after ``max_iter`` evaluations.
+    some |residual| > ``ALPHA_TOL`` after ``ALPHA_MAX_ITER`` evaluations.
     """
     arr = np.asarray(scores, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] < 2:
@@ -287,22 +300,20 @@ def optimize_alpha_batch(
     # r < 0 at LSE(f): each term < exp(f_m - LSE(f)), and those sum to 1.
     # The solve starts at LSE(f), the root's limit when every term is small.
     lo = arr.min(axis=1) - np.log(arr.shape[1])
-    top = arr.max(axis=1)
-    hi = top + np.log(np.exp(arr - top[:, None]).sum(axis=1))
-    alpha = hi
+    alpha = hi = _log_sum_exp_rows(arr)
     last_step = hi - lo
     best = alpha
     best_r = np.full(alpha.shape, np.inf)
     polishing = False
     # a flat r gives a zero slope, whose inf or nan step fails the bracket test
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_iter):
+        for _ in range(ALPHA_MAX_ITER):
             s = _sigmoid_impl(arr - alpha[:, None])
             r = s.sum(axis=1) - 1.0
             size = np.abs(r)
             best = np.where(size < best_r, alpha, best)
             best_r = np.minimum(size, best_r)
-            met = bool((best_r <= tol).all())
+            met = bool((best_r <= ALPHA_TOL).all())
             if met and polishing:
                 break
             polishing = met
@@ -313,11 +324,11 @@ def optimize_alpha_batch(
             bisect = ~((newton > lo) & (newton < hi)) | (np.abs(step) > 0.5 * last_step)
             alpha = np.where(bisect, 0.5 * (lo + hi), newton)
             last_step = np.abs(np.where(bisect, 0.5 * (hi - lo), step))
-    bad = best_r > tol
+    bad = best_r > ALPHA_TOL
     if np.any(bad):
         raise ConvergenceError(
             f"alpha solve stalled on {int(bad.sum())} rows: worst "
-            f"|sum sigmoid(f - alpha) - 1| = {float(np.max(best_r)):.3e} > {tol:.1e} "
-            f"after {max_iter} iterations"
+            f"|sum sigmoid(f - alpha) - 1| = {float(np.max(best_r)):.3e} > {ALPHA_TOL:.1e} "
+            f"after {ALPHA_MAX_ITER} iterations"
         )
     return best

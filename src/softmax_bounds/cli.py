@@ -70,8 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["powerlaw"],
         help="draw labels from a synthetic distribution instead of a file",
     )
-    est.add_argument("--K", type=int, help="number of classes (required with --gen)")
-    est.add_argument("--N", type=int, help="number of draws (required with --gen)")
+    est.add_argument("--K", type=int, help="classes (required with --gen); pads --counts or --labels")
+    est.add_argument("--N", type=int, help="number of draws (with --gen only, and required there)")
     est.add_argument("--b", type=int, default=100, help="minibatch size (ove-sgd)")
     est.add_argument("--S", type=int, default=10, help="sampled rival classes (ove-sgd)")
     est.add_argument("--lr", type=float, default=0.005, help="initial step size (ove-sgd)")
@@ -148,7 +148,7 @@ def _read_label_file(path) -> "np.ndarray":
     return np.array(labels, dtype=np.int64)
 
 
-def _parse_counts(text: str) -> "np.ndarray":
+def _parse_counts(text: str, num_classes: int | None) -> "np.ndarray":
     import numpy as np
 
     from softmax_bounds.config import ConfigError
@@ -157,7 +157,10 @@ def _parse_counts(text: str) -> "np.ndarray":
         counts = [int(c) for c in text.split(",")]
     except ValueError:
         raise ConfigError(f"--counts must be comma-separated integers, got {text!r}") from None
-    return np.array(counts, dtype=np.int64)
+    k = len(counts) if num_classes is None else num_classes
+    if k < len(counts):
+        raise ConfigError(f"--K {k} is below the {len(counts)} classes of --counts")
+    return np.pad(np.array(counts, dtype=np.int64), (0, k - len(counts)))
 
 
 def _write_value_trace(path, rows) -> None:
@@ -188,13 +191,14 @@ def _cmd_estimate(args) -> int:
             raise ConfigError("--gen requires --K and --N")
         labels, _ = gen_powerlaw_categorical(args.K, args.N, seed=args.seed)
         num_classes = args.K
+    elif args.N is not None:
+        raise ConfigError("--N applies only with --gen")
     elif args.labels is not None:
         labels = _read_label_file(args.labels)
         manifest.add_dataset(args.labels)
         num_classes = args.K if args.K is not None else int(labels.max()) + 1
     else:
-        counts_arr = _parse_counts(args.counts)
-        num_classes = len(counts_arr)
+        counts_arr = _parse_counts(args.counts, args.K)
 
     if args.method == "ove-sgd":
         if labels is None:

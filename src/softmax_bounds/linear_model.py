@@ -27,7 +27,9 @@ import numpy as np
 
 from softmax_bounds.bounds import (
     _log_sigmoid_impl,
+    _log_sum_exp_rows,
     _sigmoid_impl,
+    _softmax_rows,
     _softplus_impl,
     optimize_alpha_batch,
 )
@@ -246,18 +248,13 @@ def _penalty(model: LinearModel, lam: float) -> float:
     return 0.5 * lam * sum(float((w[rows] ** 2).sum()) for rows in _row_slices(*w.shape))
 
 
-def _row_lse(f: np.ndarray) -> np.ndarray:
-    m = f.max(axis=1)
-    return m + np.log(np.exp(f - m[:, None]).sum(axis=1))
-
-
 def exact_loglik(model: LinearModel, data: SparseDataset, lam: float = 0.0) -> float:
     """Sum_n [f_{y_n} - LSE(f)] - 0.5 lam ||W||^2 (penalty on weights only)."""
     f = scores_matrix(model, data)
     y = data.labels()
     _check_labels(y, model.num_classes)
     rows = np.arange(len(y))
-    return float(np.sum(f[rows, y] - _row_lse(f))) - _penalty(model, lam)
+    return float(np.sum(f[rows, y] - _log_sum_exp_rows(f))) - _penalty(model, lam)
 
 
 def ove_loglik(model: LinearModel, data: SparseDataset, lam: float = 0.0) -> float:
@@ -321,20 +318,18 @@ def _coefficients(f: np.ndarray, y: np.ndarray, objective: Objective) -> np.ndar
     """Per-instance, per-class weights C so the data-term gradient is
     grad_W = C^T X and grad_b = sum_n C[n]."""
     rows = np.arange(len(y))
-    if objective.kind == KIND_EXACT:
-        shifted = np.exp(f - f.max(axis=1)[:, None])
-        p = shifted / shifted.sum(axis=1)[:, None]
-        c = -p
-        c[rows, y] += 1.0
-        return c
     if objective.kind == KIND_OVE:
         s = _sigmoid_impl(f - f[rows, y][:, None])  # sigmoid(f_m - f_y)
         s[rows, y] = 0.0
         c = -s
         c[rows, y] = s.sum(axis=1)
         return c
-    a = np.asarray(objective.per_instance_alpha, dtype=np.float64)
-    c = -_sigmoid_impl(f - a[:, None])
+    if objective.kind == KIND_EXACT:
+        c = _softmax_rows(f)
+    else:
+        a = np.asarray(objective.per_instance_alpha, dtype=np.float64)
+        c = _sigmoid_impl(f - a[:, None])
+    np.negative(c, out=c)
     c[rows, y] += 1.0
     return c
 
@@ -366,21 +361,19 @@ def predict(model: LinearModel, x: SparseVector) -> int:
     return int(np.argmax(scores(model, x)))
 
 
+def _probabilities(f: np.ndarray) -> np.ndarray:
+    """Softmax rows of the scores ``f``, in place; NumericalError if a row's top is not finite."""
+    _softmax_rows(f, out=f)
+    if np.isnan(f[..., :1]).any():
+        raise NumericalError("non-finite score; the model has overflowed")
+    return f
+
+
 def predict_proba(model: LinearModel, x: SparseVector) -> np.ndarray:
-    """Exact softmax probabilities (whatever objective trained the model)."""
-    f = scores(model, x)
-    e = np.exp(f - f.max())
-    return e / e.sum()
+    """Exact softmax probabilities; NumericalError if the top score is not finite."""
+    return _probabilities(scores(model, x))
 
 
 def predict_proba_all(model: LinearModel, data: SparseDataset) -> np.ndarray:
     """Exact softmax rows; NumericalError if a row's top score is not finite."""
-    e = scores_matrix(model, data)
-    top = e.max(axis=1)
-    if not np.isfinite(top).all():
-        raise NumericalError("non-finite score; the model has overflowed")
-    # a score beyond the float range below its row's top has probability 0
-    with np.errstate(over="ignore"):
-        e -= top[:, None]
-    e /= np.exp(e, out=e).sum(axis=1)[:, None]
-    return e
+    return _probabilities(scores_matrix(model, data))

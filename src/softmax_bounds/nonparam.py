@@ -30,6 +30,7 @@ from softmax_bounds.bounds import (
     ConvergenceError,
     _log_sigmoid_impl,
     _sigmoid_impl,
+    _softmax_rows,
     _softplus_impl,
     optimize_alpha,
     ove_log_bound_all,
@@ -143,8 +144,7 @@ def _pad_result(
     f_hat = np.full(k, -np.inf)
     f_hat[active] = f_active
     probs = np.zeros(k)
-    shifted = np.exp(f_active - f_active.max())
-    probs[active] = shifted / shifted.sum()
+    probs[active] = _softmax_rows(f_active)
     return EstimationResult(
         method=method, f_hat=f_hat, probs=probs, objective_trace=trace, alpha=alpha
     )
@@ -158,17 +158,11 @@ def exact_mle(counts: CountVector) -> EstimationResult:
     """
     c = counts.counts
     active = np.flatnonzero(c > 0)
-    f_active = np.log(c[active].astype(np.float64))
-    f_active -= f_active.mean()
-    k = counts.num_classes
-    f_hat = np.full(k, -np.inf)
-    f_hat[active] = f_active
-    probs = np.zeros(k)
-    probs[active] = c[active] / counts.total
-    loglik = float(np.sum(c[active] * np.log(probs[active])))
-    return EstimationResult(
-        method="exact", f_hat=f_hat, probs=probs, objective_trace=[(0, loglik)]
-    )
+    probs = c[active] / counts.total
+    loglik = float(np.sum(c[active] * np.log(probs)))
+    result = _pad_result("exact", counts, active, np.log(c[active]), [(0, loglik)])
+    result.probs[active] = probs
+    return result
 
 
 def ove_objective(f, counts: CountVector) -> float:
@@ -216,6 +210,8 @@ _STALL = 50
 _CONVERGED = "converged"
 
 
+# the line search rejects a non-finite trial and a NaN gradient stops the fit
+@np.errstate(over="ignore", invalid="ignore")
 def _maximize(value_and_grad, x0, settings: OptimizerSettings):
     """Maximize a smooth concave function by L-BFGS (Liu & Nocedal, 1989);
     it lives here, not in ``trainer``, because ``estimate`` imports no scipy.
@@ -470,9 +466,7 @@ def ove_sgd_fit(
 
     def record(step: int) -> None:
         if error_trace is not None:
-            e = np.exp(f - f.max())
-            l1 = float(np.abs(e / e.sum() - ref_probs).sum())
-            error_trace.append((step, l1))
+            error_trace.append((step, float(np.abs(_softmax_rows(f) - ref_probs).sum())))
 
     step = 0
     # an overflowing step makes f non-finite for good, which is reported
@@ -497,13 +491,10 @@ def ove_sgd_fit(
         record(step)
 
     f -= f.mean()
-    probs = f - f.max()
-    np.exp(probs, out=probs)
-    probs /= probs.sum()
     return EstimationResult(
         method="ove_sgd",
         f_hat=f,
-        probs=probs,
+        probs=_softmax_rows(f),
         objective_trace=objective_trace,
         error_trace=error_trace,
     )

@@ -10,9 +10,12 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from softmax_bounds import bounds
 from softmax_bounds.bounds import (
     ConvergenceError,
     LabelPartition,
+    _log_sum_exp_rows,
+    _softmax_rows,
     bouchard_log_bound,
     bouchard_lse_upper,
     hierarchical_log_bound,
@@ -330,6 +333,14 @@ class TestBouchard:
         with pytest.raises(ValueError):
             bouchard_lse_upper([0.0, 1.0], np.inf)
 
+    def test_alpha_solve_stall_is_convergence_error(self, monkeypatch):
+        # one evaluation at the start LSE = log 3 leaves |r| = 1/4
+        monkeypatch.setattr(bounds, "ALPHA_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match=r"stalled on 1 rows: worst "
+                           r"\|sum sigmoid\(f - alpha\) - 1\| = 2.500e-01 > 1.0e-10 "
+                           r"after 1 iterations"):
+            optimize_alpha([0.0, 0.0, 0.0])
+
     def test_alpha_converges_even_when_tight(self):
         # huge spread still converges (bracket is adaptive)
         f = np.array([500.0, -500.0, 0.0])
@@ -397,3 +408,87 @@ class TestExtremeMagnitudes:
         else:
             alpha = offset * max(1.0, float(np.max(np.abs(f))))
         assert bouchard_lse_upper(f, alpha) >= log_sum_exp(f) - float_slack(f)
+
+
+# The inline formulas that ``_log_sum_exp_rows`` and ``_softmax_rows``
+# replaced, kept as oracles. Each runs under the rule that predict_proba_all
+# already had: a score more than the float range below its row's top gives
+# probability 0 without a warning.
+def old_log_sum_exp_rows(f):
+    """linear_model._row_lse and the start of optimize_alpha_batch."""
+    with np.errstate(over="ignore"):
+        m = f.max(axis=1)
+        return m + np.log(np.exp(f - m[:, None]).sum(axis=1))
+
+
+def old_log_sum_exp(f):
+    """bounds.log_sum_exp on a vector with a finite max."""
+    with np.errstate(over="ignore"):
+        m = np.max(f)
+        return m + np.log(np.sum(np.exp(f - m)))
+
+
+def old_softmax_rows(f):
+    """The exact branch of linear_model._coefficients."""
+    with np.errstate(over="ignore"):
+        shifted = np.exp(f - f.max(axis=1)[:, None])
+        return shifted / shifted.sum(axis=1)[:, None]
+
+
+def old_softmax(f):
+    """bounds.softmax, predict_proba, nonparam._pad_result and ove_sgd_fit."""
+    with np.errstate(over="ignore"):
+        e = np.exp(f - f.max())
+        return e / e.sum()
+
+
+def old_softmax_in_place(e):
+    """predict_proba_all, on its own score matrix."""
+    top = e.max(axis=1)
+    with np.errstate(over="ignore"):
+        e -= top[:, None]
+    e /= np.exp(e, out=e).sum(axis=1)[:, None]
+    return e
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@st.composite
+def score_rows(draw):
+    """(N, K) scores, N in [1, 4] and K in [2, 50], scaled as in
+    ``extreme_scores`` (|f| up to 1e4) with one center per row; in about
+    half the draws one row also holds both 1e308 and -1e308, whose
+    difference overflows."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(2, 50))
+    scale = 10.0 ** draw(st.floats(0.0, 4.0))
+    center = draw(arrays(np.float64, (n, 1), elements=st.floats(-1.0, 1.0)))
+    unit = draw(arrays(np.float64, (n, k), elements=st.floats(-1.0, 1.0)))
+    f = scale * 0.5 * (center + unit)
+    if draw(st.booleans()):
+        top, bottom = draw(st.permutations(range(k)))[:2]
+        row = draw(st.integers(0, n - 1))
+        f[row, top], f[row, bottom] = 1e308, -1e308
+    return f
+
+
+class TestNormalizerKernels:
+    @given(score_rows())
+    def test_match_the_formulas_they_replaced(self, f):
+        assert same_bits(_log_sum_exp_rows(f), old_log_sum_exp_rows(f))
+        assert same_bits(_softmax_rows(f), old_softmax_rows(f))
+        e = f.copy()
+        assert _softmax_rows(e, out=e) is e
+        assert same_bits(e, old_softmax_in_place(f.copy()))
+        for row in f:
+            assert same_bits(_log_sum_exp_rows(row), old_log_sum_exp(row))
+            assert same_bits(log_sum_exp(row), old_log_sum_exp(row))
+            assert same_bits(_softmax_rows(row), old_softmax(row))
+            assert same_bits(softmax(row), old_softmax(row))
+
+    def test_row_whose_top_is_not_finite_is_nan_without_warning(self):
+        f = np.array([[np.inf, 0.0], [-np.inf, -np.inf], [np.nan, 1.0], [1e308, -1e308]])
+        p, lse = _softmax_rows(f), _log_sum_exp_rows(f)
+        assert np.isnan(p[:3]).all() and np.array_equal(p[3], [1.0, 0.0])
+        assert np.isnan(lse[:3]).all() and lse[3] == 1e308

@@ -149,6 +149,24 @@ class TestEstimate:
         assert probs["num_classes"] == 4
         np.testing.assert_allclose(probs["probs"], [0.5, 0.5, 0.0, 0.0], atol=1e-12)
 
+    def test_counts_k_override_pads_unseen_classes(self, tmp_path):
+        out = str(tmp_path / "run")
+        assert cli.main(["estimate", "--method", "exact", "--counts", "1,2",
+                         "--K", "5", "--out", out]) == 0
+        probs = read_json(os.path.join(out, "probs.json"))
+        assert probs["num_classes"] == 5
+        np.testing.assert_allclose(probs["probs"], [1 / 3, 2 / 3, 0.0, 0.0, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--counts", "1,2,3", "--K", "2"], "--K 2 is below the 3 classes of --counts"),
+        (["--counts", "1,2", "--N", "10"], "--N applies only with --gen"),
+    ])
+    def test_k_below_counts_and_n_without_gen_are_config_errors(
+            self, tmp_path, capsys, extra, message):
+        rc = cli.main(["estimate", "--method", "exact", *extra, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_ove_sgd_from_generator(self, tmp_path):
         out = str(tmp_path / "run")
         assert cli.main(
@@ -387,6 +405,18 @@ class TestTrain:
                        "--S", "1", "--out", str(tmp_path / "run")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: the one-vs-each bound is nan")
+
+    def test_diverging_full_batch_fit_prints_one_error_line(self, tmp_path, capsys):
+        # scores of +-1e308 overflow on the first trial step; the fit stops on
+        # its own rules, with no numpy warning ahead of the error line
+        path = tmp_path / "big.txt"
+        path.write_text("1 1:1e308\n2 2:-1e308\n", encoding="utf-8")
+        rc = cli.main(["train", "--train", str(path), "--objective", "soft",
+                       "--lam", "1", "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: full-batch fit stalled: ")
+        assert len(err.splitlines()) == 1
 
     def test_negative_seed_is_config_error(self, toy_files, tmp_path, capsys):
         train, _ = toy_files

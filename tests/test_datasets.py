@@ -1,10 +1,13 @@
 """Tests for sparse ingestion, the multilabel reduction, and the generators."""
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from softmax_bounds import datasets
 from softmax_bounds.config import ConfigError
@@ -254,6 +257,40 @@ def csr_arrays(**changes):
     )
     arrays.update(changes)
     return arrays
+
+
+@st.composite
+def small_datasets(draw):
+    """1-8 rows, some of them empty, over K in [2, 6] classes and D in
+    [1, 12] features, with any finite values (zeros and -0.0 included)."""
+    k, d, n = draw(st.integers(2, 6)), draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    rows = [sorted(draw(st.sets(st.integers(0, d - 1)))) for _ in range(n)]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    indices = np.array([i for r in rows for i in r], dtype=np.int64)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(arrays(np.float64, indices.size, elements=finite))
+    labels = draw(arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    return SparseDataset(indptr, indices, values, labels, d, k)
+
+
+class TestWriteLoadRoundTrip:
+    @given(small_datasets(), st.booleans())
+    def test_round_trip_property(self, ds, sidecar):
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "d.txt")
+            write_sparse(ds, path, sidecar=sidecar)
+            back = load_sparse(path)
+        (m0, y0), (m1, y1) = ds.to_csr(), back.to_csr()
+        np.testing.assert_array_equal(m1.indptr, m0.indptr)
+        np.testing.assert_array_equal(m1.indices, m0.indices)
+        assert m1.data.tobytes() == m0.data.tobytes()
+        np.testing.assert_array_equal(y1, y0)
+        if sidecar:
+            k, d = ds.num_classes, ds.num_features
+        else:
+            # without the sidecar a reload infers K and D as observed maxima
+            k, d = max(2, int(y0.max()) + 1), max(1, int(m0.indices.max(initial=-1)) + 1)
+        assert (back.num_classes, back.num_features) == (k, d)
 
 
 class TestCsr:

@@ -1,10 +1,14 @@
 """Tests for linear scores, the three objectives, and their gradients."""
 
+import os
 import struct
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from softmax_bounds.bounds import _log_sigmoid_impl
 from softmax_bounds.config import NumericalError, TrainConfig
@@ -352,6 +356,22 @@ class TestCheckpoint:
         np.testing.assert_array_equal(back.weights, m.weights)
         np.testing.assert_array_equal(back.biases, m.biases)
 
+    @given(st.integers(1, 6), st.integers(0, 6), st.data())
+    def test_round_trip_property(self, k, d, data):
+        # any finite parameters, -0.0 and subnormals included, come back
+        # bit for bit, and save returns the digest of the file it wrote
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        w = data.draw(arrays(np.float64, (k, d), elements=finite))
+        b = data.draw(arrays(np.float64, k, elements=finite))
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "m.bin")
+            digest = LinearModel(w, b).save(path)
+            assert digest == sha256_file(path)
+            back = LinearModel.load(path)
+        assert back.weights.shape == (k, d)
+        assert back.weights.tobytes() == w.tobytes()
+        assert back.biases.tobytes() == b.tobytes()
+
     def test_rejects_garbage(self, tmp_path):
         p = tmp_path / "bad.bin"
         p.write_bytes(b"not a checkpoint at all")
@@ -527,6 +547,12 @@ class TestDenseTail:
             ove_loglik(m, data)
         with pytest.raises(NumericalError, match="non-finite score"):
             predict_proba_all(m, data)
+
+    @pytest.mark.parametrize("biases", [[np.inf, 0.0], [np.nan, 0.0], [-np.inf, -np.inf]])
+    def test_predict_proba_of_non_finite_top_score_is_numerical_error(self, biases):
+        m = LinearModel(np.zeros((2, 1)), np.array(biases))
+        with pytest.raises(NumericalError, match="non-finite score"):
+            predict_proba(m, SparseVector(np.array([0]), np.array([1.0])))
 
     def test_margin_beyond_float_range_is_finite(self):
         # 2 * 1e308 - 2 * (-1e308) overflows the margin to +inf, whose
