@@ -120,34 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_label_file(path) -> "np.ndarray":
-    """Labels as 0-based ints from a text file of 1-based labels."""
-    import numpy as np
-
-    from softmax_bounds.datasets import DatasetFormatError
-
-    labels = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                value = int(text)
-            except ValueError:
-                raise DatasetFormatError(
-                    f"{path}: line {lineno}: expected an integer label, got {text!r}"
-                ) from None
-            if value < 1:
-                raise DatasetFormatError(
-                    f"{path}: line {lineno}: labels are 1-based, got {value}"
-                )
-            labels.append(value - 1)
-    if not labels:
-        raise DatasetFormatError(f"{path}: no labels found")
-    return np.array(labels, dtype=np.int64)
-
-
 def _parse_counts(text: str, num_classes: int | None) -> "np.ndarray":
     import numpy as np
 
@@ -157,10 +129,31 @@ def _parse_counts(text: str, num_classes: int | None) -> "np.ndarray":
         counts = [int(c) for c in text.split(",")]
     except ValueError:
         raise ConfigError(f"--counts must be comma-separated integers, got {text!r}") from None
+    limits = np.iinfo(np.int64)
+    for c in counts:
+        if not limits.min <= c <= limits.max:
+            raise ConfigError(f"--counts value {c} does not fit in int64")
     k = len(counts) if num_classes is None else num_classes
     if k < len(counts):
         raise ConfigError(f"--K {k} is below the {len(counts)} classes of --counts")
     return np.pad(np.array(counts, dtype=np.int64), (0, k - len(counts)))
+
+
+def _train_config(args, **extra):
+    """The ``TrainConfig`` of the doubly stochastic flags that ``estimate``
+    and ``train`` share, plus ``extra`` fields."""
+    from softmax_bounds.config import TrainConfig
+
+    return TrainConfig(
+        batch_size=args.b,
+        num_sampled=args.S,
+        lr0=args.lr,
+        lr_decay=args.lr_decay,
+        epochs=args.epochs,
+        seed=args.seed,
+        log_every=args.log_every,
+        **extra,
+    )
 
 
 def _write_value_trace(path, rows) -> None:
@@ -171,8 +164,8 @@ def _write_value_trace(path, rows) -> None:
 
 
 def _cmd_estimate(args) -> int:
-    from softmax_bounds.config import ConfigError, TrainConfig
-    from softmax_bounds.datasets import gen_powerlaw_categorical
+    from softmax_bounds.config import ConfigError
+    from softmax_bounds.datasets import DatasetFormatError, gen_powerlaw_categorical, load_sparse
     from softmax_bounds.manifest import RunManifest
     from softmax_bounds.nonparam import (
         CountVector,
@@ -194,7 +187,12 @@ def _cmd_estimate(args) -> int:
     elif args.N is not None:
         raise ConfigError("--N applies only with --gen")
     elif args.labels is not None:
-        labels = _read_label_file(args.labels)
+        data = load_sparse(args.labels)
+        if data.to_csr()[0].nnz:
+            raise DatasetFormatError(
+                f"{args.labels}: holds idx:val pairs; a label file has one 1-based label per line"
+            )
+        labels = data.labels()
         manifest.add_dataset(args.labels)
         num_classes = args.K if args.K is not None else int(labels.max()) + 1
     else:
@@ -206,15 +204,7 @@ def _cmd_estimate(args) -> int:
                 "--method ove-sgd estimates from a label stream; "
                 "use --labels or --gen rather than --counts"
             )
-        config = TrainConfig(
-            batch_size=args.b,
-            num_sampled=args.S,
-            lr0=args.lr,
-            lr_decay=args.lr_decay,
-            epochs=args.epochs,
-            seed=args.seed,
-            log_every=args.log_every,
-        )
+        config = _train_config(args)
         # the trace tracks L1 distance to the exact MLE of the same stream
         reference = exact_mle(CountVector.from_labels(labels, num_classes))
         result = ove_sgd_fit(labels, num_classes, config, ref_probs=reference.probs)
@@ -267,7 +257,6 @@ def _evaluate(model, data):
 def _cmd_train(args) -> int:
     from concurrent.futures import ThreadPoolExecutor
 
-    from softmax_bounds.config import TrainConfig
     from softmax_bounds.datasets import unify_pair
     from softmax_bounds.linear_model import (
         KIND_BOUCHARD,
@@ -299,16 +288,7 @@ def _cmd_train(args) -> int:
     trace_path = os.path.join(args.out, "trace.csv")
 
     if args.objective == "ove-sgd":
-        config = TrainConfig(
-            batch_size=args.b,
-            num_sampled=args.S,
-            lr0=args.lr,
-            lr_decay=args.lr_decay,
-            epochs=args.epochs,
-            lam=args.lam,
-            seed=args.seed,
-            log_every=args.log_every,
-        )
+        config = _train_config(args, lam=args.lam)
         fitted, trace = train(model0, train_data, config)
         trace.to_csv(trace_path)
         trace_scope = SCOPE_NO_ELAPSED

@@ -185,7 +185,10 @@ def scores(model: LinearModel, x: SparseVector) -> np.ndarray:
     x.validate(model.num_features)
     if x.nnz == 0:
         return model.biases.copy()
-    return model.biases + model.weights[:, x.indices] @ x.values
+    # silent, as the sparse product of scores_matrix is: predict_proba
+    # reports an overflowed score as NumericalError
+    with np.errstate(over="ignore", invalid="ignore"):
+        return model.biases + model.weights[:, x.indices] @ x.values
 
 
 def _csr(model: LinearModel, data: SparseDataset):
@@ -229,6 +232,15 @@ def _check_labels(y: np.ndarray, num_classes: int) -> None:
         raise ValueError("label out of range for the model's class count")
 
 
+def _label_scores(model: LinearModel, data: SparseDataset):
+    """(f, y, f_y): the (N, K) scores, which the caller owns and may
+    overwrite, the checked labels, and each row's label score."""
+    f = scores_matrix(model, data)
+    y = data.labels()
+    _check_labels(y, model.num_classes)
+    return f, y, f[np.arange(len(y)), y]
+
+
 def _row_slices(num_rows: int, row_len: int):
     """Slices of consecutive rows of about ``_BLOCK`` elements each."""
     step = max(1, _BLOCK // max(1, row_len))
@@ -250,11 +262,8 @@ def _penalty(model: LinearModel, lam: float) -> float:
 
 def exact_loglik(model: LinearModel, data: SparseDataset, lam: float = 0.0) -> float:
     """Sum_n [f_{y_n} - LSE(f)] - 0.5 lam ||W||^2 (penalty on weights only)."""
-    f = scores_matrix(model, data)
-    y = data.labels()
-    _check_labels(y, model.num_classes)
-    rows = np.arange(len(y))
-    return float(np.sum(f[rows, y] - _log_sum_exp_rows(f))) - _penalty(model, lam)
+    f, _, fy = _label_scores(model, data)
+    return float(np.sum(fy - _log_sum_exp_rows(f))) - _penalty(model, lam)
 
 
 def ove_loglik(model: LinearModel, data: SparseDataset, lam: float = 0.0) -> float:
@@ -300,38 +309,20 @@ def bouchard_loglik(
     if objective.kind != KIND_BOUCHARD:
         raise ValueError("objective kind must be bouchard")
     objective.validate(num_instances=len(data))
-    f = scores_matrix(model, data)
-    y = data.labels()
-    _check_labels(y, model.num_classes)
+    f, _, fy = _label_scores(model, data)
     a = np.asarray(objective.per_instance_alpha, dtype=np.float64)
-    rows = np.arange(len(y))
-    bound = f[rows, y] - a - _softplus_impl(f - a[:, None]).sum(axis=1)
+    f -= a[:, None]
+    bound = fy - a - _softplus_impl(f).sum(axis=1)
     return float(bound.sum()) - _penalty(model, objective.lam)
 
 
 def optimal_alphas(model: LinearModel, data: SparseDataset) -> np.ndarray:
-    """Per-instance maximizing alphas at the current parameters."""
-    return optimize_alpha_batch(scores_matrix(model, data))
-
-
-def _coefficients(f: np.ndarray, y: np.ndarray, objective: Objective) -> np.ndarray:
-    """Per-instance, per-class weights C so the data-term gradient is
-    grad_W = C^T X and grad_b = sum_n C[n]."""
-    rows = np.arange(len(y))
-    if objective.kind == KIND_OVE:
-        s = _sigmoid_impl(f - f[rows, y][:, None])  # sigmoid(f_m - f_y)
-        s[rows, y] = 0.0
-        c = -s
-        c[rows, y] = s.sum(axis=1)
-        return c
-    if objective.kind == KIND_EXACT:
-        c = _softmax_rows(f)
-    else:
-        a = np.asarray(objective.per_instance_alpha, dtype=np.float64)
-        c = _sigmoid_impl(f - a[:, None])
-    np.negative(c, out=c)
-    c[rows, y] += 1.0
-    return c
+    """Per-instance maximizing alphas at the current parameters;
+    NumericalError, as from ``predict_proba_all``, if a score is not finite."""
+    f = scores_matrix(model, data)
+    if not np.isfinite(f).all():
+        raise NumericalError("non-finite score; the model has overflowed")
+    return optimize_alpha_batch(f)
 
 
 def full_gradient(
@@ -346,10 +337,22 @@ def full_gradient(
     subtracts lam * weights (never biases).
     """
     objective.validate(num_instances=len(data))
-    f = scores_matrix(model, data)
-    y = data.labels()
-    _check_labels(y, model.num_classes)
-    c = _coefficients(f, y, objective)
+    # the per-instance, per-class weights C, with grad_W = C^T X and
+    # grad_b = sum_n C[n], are built in place on the scores
+    c, y, fy = _label_scores(model, data)
+    rows, label_weight = np.arange(len(y)), 1.0
+    if objective.kind == KIND_EXACT:
+        _softmax_rows(c, out=c)
+    elif objective.kind == KIND_BOUCHARD:
+        c -= np.asarray(objective.per_instance_alpha, dtype=np.float64)[:, None]
+        c = _sigmoid_impl(c)
+    else:
+        c -= fy[:, None]
+        c = _sigmoid_impl(c)  # sigmoid(f_m - f_y)
+        c[rows, y] = 0.0
+        label_weight = c.sum(axis=1)  # the sum of the rivals' weights
+    np.negative(c, out=c)
+    c[rows, y] += label_weight
     mat, _ = data.to_csr()
     grad_w = np.asarray((mat.T @ c).T) - objective.lam * model.weights
     grad_b = c.sum(axis=0)

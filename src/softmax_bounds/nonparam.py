@@ -75,8 +75,11 @@ class CountVector:
         arr = arr.astype(np.int64)
         if np.any(arr < 0):
             raise ConfigError("counts must be non-negative")
-        if arr.sum() < 1:
+        total = sum(arr.tolist())  # in Python ints: an int64 sum wraps silently
+        if total < 1:
             raise ConfigError("at least one observation is required")
+        if total > np.iinfo(np.int64).max:
+            raise ConfigError(f"counts sum to {total}, which does not fit in int64")
         object.__setattr__(self, "counts", arr)
 
     @property
@@ -210,7 +213,8 @@ _STALL = 50
 _CONVERGED = "converged"
 
 
-# the line search rejects a non-finite trial and a NaN gradient stops the fit
+# the line search rejects a trial whose value is not finite or whose
+# evaluation raises NumericalError, and a NaN gradient stops the fit
 @np.errstate(over="ignore", invalid="ignore")
 def _maximize(value_and_grad, x0, settings: OptimizerSettings):
     """Maximize a smooth concave function by L-BFGS (Liu & Nocedal, 1989);
@@ -224,7 +228,8 @@ def _maximize(value_and_grad, x0, settings: OptimizerSettings):
     is within a few ulps and the gradient norm does not grow. Returns
     (x, value, grad, trace [(iteration, value)], reason) at the last accepted
     iterate; reason is ``"converged"`` once the gradient inf-norm is at most
-    ``settings.grad_tol`` and otherwise says why it stopped.
+    ``settings.grad_tol`` and otherwise says why it stopped. NumericalError
+    from the evaluation at ``x0`` propagates.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     val, grad = value_and_grad(x)
@@ -253,7 +258,10 @@ def _maximize(value_and_grad, x0, settings: OptimizerSettings):
         noise, step = 4.0 * np.spacing(max(abs(val), 1.0)), 1.0
         while True:
             cand = x + step * direction
-            cval, cgrad = value_and_grad(cand)
+            try:
+                cval, cgrad = value_and_grad(cand)
+            except NumericalError:
+                cval = np.nan
             if np.isfinite(cval) and (cval >= val + 1e-4 * step * slope or (
                     cval >= val - noise and float(cgrad @ cgrad) <= g2)):
                 break

@@ -306,6 +306,14 @@ def _plan(
     return _Plan(classes, ptr, owner, slots, values, rows, row_batch, row_ptr, groups)
 
 
+def _check_shapes(model: LinearModel, data: SparseDataset) -> None:
+    if data.num_classes != model.num_classes or data.num_features != model.num_features:
+        raise ConfigError(
+            f"model is {model.num_classes} x {model.num_features} but data is "
+            f"{data.num_classes} x {data.num_features}"
+        )
+
+
 def train(
     model: LinearModel,
     data: SparseDataset,
@@ -336,11 +344,7 @@ def train(
     possibly together with the other steps of its group. It exists for
     instrumentation and must not mutate anything.
     """
-    if data.num_classes != model.num_classes or data.num_features != model.num_features:
-        raise ConfigError(
-            f"model is {model.num_classes} x {model.num_features} but data is "
-            f"{data.num_classes} x {data.num_features}"
-        )
+    _check_shapes(model, data)
     config.validate(num_classes=model.num_classes)
     n = len(data)
     if n == 0:
@@ -512,11 +516,7 @@ def fit_full_batch(
         raise ConfigError(f"unknown objective kind {objective.kind!r}")
     if not objective.lam >= 0:
         raise ConfigError(f"lam must be >= 0, got {objective.lam}")
-    if data.num_classes != model.num_classes or data.num_features != model.num_features:
-        raise ConfigError(
-            f"model is {model.num_classes} x {model.num_features} but data is "
-            f"{data.num_classes} x {data.num_features}"
-        )
+    _check_shapes(model, data)
 
     if objective.kind == KIND_BOUCHARD:
         # The joint objective is concave in (weights, alphas) and the inner

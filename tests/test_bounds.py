@@ -429,7 +429,7 @@ def old_log_sum_exp(f):
 
 
 def old_softmax_rows(f):
-    """The exact branch of linear_model._coefficients."""
+    """The exact branch of the former linear_model._coefficients."""
     with np.errstate(over="ignore"):
         shifted = np.exp(f - f.max(axis=1)[:, None])
         return shifted / shifted.sum(axis=1)[:, None]

@@ -253,6 +253,38 @@ class TestEstimate:
         assert rc == 2
         assert "error: " in capsys.readouterr().err
 
+    def test_label_beyond_int64_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "labels.txt"
+        path.write_text("1\n99999999999999999999\n", encoding="utf-8")
+        rc = cli.main(["estimate", "--method", "exact", "--labels", str(path),
+                       "--out", str(tmp_path / "run")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: line 2: label 99999999999999999999 out of range\n")
+
+    def test_label_file_with_pairs_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "labels.txt"
+        path.write_text("1\n2 3:0.5\n", encoding="utf-8")
+        rc = cli.main(["estimate", "--method", "exact", "--labels", str(path),
+                       "--out", str(tmp_path / "run")])
+        assert rc == 3
+        assert "one 1-based label per line" in capsys.readouterr().err
+
+    def test_count_beyond_int64_is_config_error(self, tmp_path, capsys):
+        rc = cli.main(["estimate", "--method", "exact", "--counts", "1,99999999999999999999",
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: --counts value 99999999999999999999 does not fit in int64\n")
+
+    def test_counts_whose_sum_overflows_int64_are_config_error(self, tmp_path, capsys):
+        rc = cli.main(["estimate", "--method", "exact",
+                       "--counts", "5000000000000000000,5000000000000000000",
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: counts sum to 10000000000000000000, which does not fit in int64\n")
+
     def test_negative_counts_are_config_error(self, tmp_path, capsys):
         rc = cli.main(["estimate", "--method", "exact", "--counts", "1,-2,3",
                        "--out", str(tmp_path)])
@@ -406,16 +438,19 @@ class TestTrain:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: the one-vs-each bound is nan")
 
-    def test_diverging_full_batch_fit_prints_one_error_line(self, tmp_path, capsys):
-        # scores of +-1e308 overflow on the first trial step; the fit stops on
-        # its own rules, with no numpy warning ahead of the error line
+    @pytest.mark.parametrize("objective", ["soft", "ove", "bouchard"])
+    def test_diverging_full_batch_fit_prints_one_error_line(self, tmp_path, capsys, objective):
+        # scores of +-1e308 overflow on every trial step, which each objective
+        # rejects alike; the fit stops on its own rules, with no numpy
+        # warning ahead of the error line
         path = tmp_path / "big.txt"
         path.write_text("1 1:1e308\n2 2:-1e308\n", encoding="utf-8")
-        rc = cli.main(["train", "--train", str(path), "--objective", "soft",
+        rc = cli.main(["train", "--train", str(path), "--objective", objective,
                        "--lam", "1", "--out", str(tmp_path / "run")])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: full-batch fit stalled: ")
+        assert err.endswith("(line search step below 1e-18)\n")
         assert len(err.splitlines()) == 1
 
     def test_negative_seed_is_config_error(self, toy_files, tmp_path, capsys):

@@ -10,10 +10,17 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from softmax_bounds.bounds import _log_sigmoid_impl
+from softmax_bounds.bounds import (
+    _log_sigmoid_impl,
+    _log_sum_exp_rows,
+    _sigmoid_impl,
+    _softmax_rows,
+    _softplus_impl,
+)
 from softmax_bounds.config import NumericalError, TrainConfig
 from softmax_bounds.datasets import SparseDataset, SparseVector
 from softmax_bounds.linear_model import (
+    _penalty,
     _score_blocks,
     KIND_BOUCHARD,
     KIND_EXACT,
@@ -548,6 +555,16 @@ class TestDenseTail:
         with pytest.raises(NumericalError, match="non-finite score"):
             predict_proba_all(m, data)
 
+    def test_overflowed_score_of_one_instance(self):
+        # 1e308 * 2.0 overflows inside the dense product of scores
+        m = LinearModel(np.array([[1e308], [0.0]]), np.zeros(2))
+        x = SparseVector(np.array([0]), np.array([2.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert predict(m, x) == 0
+            with pytest.raises(NumericalError, match="non-finite score"):
+                predict_proba(m, x)
+
     @pytest.mark.parametrize("biases", [[np.inf, 0.0], [np.nan, 0.0], [-np.inf, -np.inf]])
     def test_predict_proba_of_non_finite_top_score_is_numerical_error(self, biases):
         m = LinearModel(np.zeros((2, 1)), np.array(biases))
@@ -574,6 +591,93 @@ class TestDenseTail:
         f = scores_matrix(m, data)
         e = np.exp(f - f.max(axis=1)[:, None])
         assert np.array_equal(predict_proba_all(m, data), e / e.sum(axis=1)[:, None])
+
+
+# The full-batch bodies as they stood before full_gradient built its weights
+# in place on the score matrix and the three evaluations shared one preamble,
+# kept as oracles.
+def oracle_coefficients(f, y, objective):
+    """linear_model._coefficients: C with grad_W = C^T X and grad_b = sum_n C[n]."""
+    rows = np.arange(len(y))
+    if objective.kind == KIND_OVE:
+        s = _sigmoid_impl(f - f[rows, y][:, None])  # sigmoid(f_m - f_y)
+        s[rows, y] = 0.0
+        c = -s
+        c[rows, y] = s.sum(axis=1)
+        return c
+    if objective.kind == KIND_EXACT:
+        c = _softmax_rows(f)
+    else:
+        a = np.asarray(objective.per_instance_alpha, dtype=np.float64)
+        c = _sigmoid_impl(f - a[:, None])
+    np.negative(c, out=c)
+    c[rows, y] += 1.0
+    return c
+
+
+def oracle_full_gradient(model, data, objective):
+    c = oracle_coefficients(scores_matrix(model, data), data.labels(), objective)
+    mat, _ = data.to_csr()
+    grad_w = np.asarray((mat.T @ c).T) - objective.lam * model.weights
+    return grad_w, c.sum(axis=0)
+
+
+def oracle_exact_loglik(model, data, lam):
+    f, y = scores_matrix(model, data), data.labels()
+    rows = np.arange(len(y))
+    return float(np.sum(f[rows, y] - _log_sum_exp_rows(f))) - _penalty(model, lam)
+
+
+def oracle_bouchard_loglik(model, data, objective):
+    f, y = scores_matrix(model, data), data.labels()
+    a = np.asarray(objective.per_instance_alpha, dtype=np.float64)
+    rows = np.arange(len(y))
+    bound = f[rows, y] - a - _softplus_impl(f - a[:, None]).sum(axis=1)
+    return float(bound.sum()) - _penalty(model, objective.lam)
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@st.composite
+def full_batch_cases(draw):
+    """(model, data, alphas): N in [1, 12], D in [1, 6], K in [2, 8], about
+    half the features zero, scores |f| up to 1e4, and per-instance alphas
+    that are either optimal or drawn on the scores' scale."""
+    n, d, k = draw(st.integers(1, 12)), draw(st.integers(1, 6)), draw(st.integers(2, 8))
+    scale = 10.0 ** draw(st.floats(-1.0, 4.0))
+    unit = st.floats(-1.0, 1.0)
+    x = draw(arrays(np.float64, (n, d), elements=unit)) * draw(arrays(np.bool_, (n, d)))
+    labels = draw(arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    # |b| + sum_j |W_kj x_j| <= scale / 2 + scale / 2
+    model = LinearModel(draw(arrays(np.float64, (k, d), elements=unit)) * (0.5 * scale / d),
+                        draw(arrays(np.float64, k, elements=unit)) * (0.5 * scale))
+    data = SparseDataset.from_dense(x, labels, k)
+    if draw(st.booleans()):
+        alphas = optimal_alphas(model, data)
+    else:
+        alphas = draw(arrays(np.float64, n, elements=unit)) * scale
+    return model, data, alphas
+
+
+class TestFullBatchOracles:
+    @given(case=full_batch_cases(), lam=st.sampled_from([0.0, 0.5]))
+    def test_values_match_bitwise(self, case, lam):
+        m, data, alphas = case
+        assert same_bits(exact_loglik(m, data, lam), oracle_exact_loglik(m, data, lam))
+        objective = Objective(KIND_BOUCHARD, lam, alphas)
+        assert same_bits(bouchard_loglik(m, data, objective),
+                         oracle_bouchard_loglik(m, data, objective))
+
+    @given(case=full_batch_cases(), kind=st.sampled_from([KIND_EXACT, KIND_OVE, KIND_BOUCHARD]),
+           lam=st.sampled_from([0.0, 0.5]))
+    def test_gradients_match_bitwise(self, case, kind, lam):
+        m, data, alphas = case
+        objective = Objective(kind, lam, alphas if kind == KIND_BOUCHARD else None)
+        grad_w, grad_b = full_gradient(m, data, objective)
+        oracle_w, oracle_b = oracle_full_gradient(m, data, objective)
+        assert same_bits(grad_w, oracle_w) and same_bits(grad_b, oracle_b)
 
 
 @pytest.fixture(scope="module")
@@ -628,6 +732,28 @@ class TestDenseTailMemory:
         m, data = wide
         peak = traced_peak(ove_loglik, m, data, 0.1)
         assert peak < 1.25 * len(data) * m.num_classes * 8
+
+    @pytest.mark.parametrize("kind, bound", [
+        (KIND_EXACT, 2.6), (KIND_OVE, 3.2), (KIND_BOUCHARD, 3.2),
+    ])
+    def test_full_gradient(self, wide, kind, bound):
+        # the weights C are built in place on the score matrix, which the
+        # sigmoid kinds release once their weights exist (2.5 and 3.13 here)
+        m, data = wide
+        alphas = np.zeros(len(data)) if kind == KIND_BOUCHARD else None
+        peak = traced_peak(full_gradient, m, data, Objective(kind, 0.1, alphas))
+        assert peak <= bound * len(data) * m.num_classes * 8
+
+    def test_exact_loglik(self, wide):
+        m, data = wide
+        peak = traced_peak(exact_loglik, m, data, 0.1)
+        assert peak <= 2.1 * len(data) * m.num_classes * 8
+
+    def test_bouchard_loglik(self, wide):
+        m, data = wide
+        objective = Objective(KIND_BOUCHARD, 0.1, np.zeros(len(data)))
+        peak = traced_peak(bouchard_loglik, m, data, objective)
+        assert peak <= 4.1 * len(data) * m.num_classes * 8
 
     def test_predict_proba_all(self, wide):
         m, data = wide

@@ -783,3 +783,11 @@ class TestFitFullBatch:
                 OptimizerSettings(max_iter=2),
             )
         assert "after 2 iterations" in str(exc.value)
+
+    @pytest.mark.parametrize("kind", [KIND_EXACT, KIND_OVE, KIND_BOUCHARD])
+    def test_overflowing_trials_stall_the_line_search(self, kind):
+        # the rows "1 1:1e308" and "2 2:-1e308": every trial step overflows
+        # a score, which each objective rejects alike, without a warning
+        data = SparseDataset.from_dense([[1e308, 0.0], [0.0, -1e308]], [0, 1], 2)
+        with pytest.raises(ConvergenceError, match=r"\(line search step below 1e-18\)"):
+            fit_full_batch(LinearModel.zeros(2, 2), data, Objective(kind=kind, lam=1.0))
