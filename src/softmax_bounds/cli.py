@@ -120,6 +120,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_oversize(values: int, what: str, source: str, error) -> None:
+    """Raise ``error`` naming ``source`` when ``what`` holds ``values`` 8-byte
+    numbers, past the ``sys.maxsize`` bytes one numpy array can hold."""
+    if 8 * values > sys.maxsize:
+        raise error(f"{source}: {what} needs more than the {sys.maxsize} bytes one array can hold")
+
+
 def _parse_counts(text: str, num_classes: int | None) -> "np.ndarray":
     import numpy as np
 
@@ -178,6 +185,8 @@ def _cmd_estimate(args) -> int:
     t0 = time.perf_counter()
     manifest = RunManifest(command=["estimate"] + _args_echo(args), seed=args.seed)
 
+    for flag, size, what in (("--K", args.K, "a count vector"), ("--N", args.N, "a label stream")):
+        _refuse_oversize(size or 0, f"{what} that long", f"{flag} {size}", ConfigError)
     labels = None
     if args.gen is not None:
         if args.K is None or args.N is None:
@@ -195,6 +204,8 @@ def _cmd_estimate(args) -> int:
         labels = data.labels()
         manifest.add_dataset(args.labels)
         num_classes = args.K if args.K is not None else int(labels.max()) + 1
+        _refuse_oversize(num_classes, f"a {num_classes}-class count vector", args.labels,
+                         DatasetFormatError)
     else:
         counts_arr = _parse_counts(args.counts, args.K)
 
@@ -237,9 +248,25 @@ def _cmd_estimate(args) -> int:
 
 
 def _load_dataset(path, num_classes, num_features):
+    """``load_sparse`` that refuses a K x D model no array can hold: exit 2
+    naming the flags when they alone are past it, else exit 3 naming the file."""
+    from softmax_bounds.config import ConfigError
     from softmax_bounds.datasets import load_sparse
 
-    return load_sparse(path, num_classes=num_classes, num_features=num_features)
+    flags = (("--num-classes", num_classes), ("--num-features", num_features))
+    k, d = num_classes or 2, num_features or 1  # without the flags, 4 values: never refused
+    _refuse_oversize(k * d + k, "the model", " ".join(f"{f} {v}" for f, v in flags if v),
+                     ConfigError)
+    data = load_sparse(path, num_classes=num_classes, num_features=num_features)
+    _refuse_model(data, path)
+    return data
+
+
+def _refuse_model(data, source) -> None:
+    from softmax_bounds.datasets import DatasetFormatError
+
+    k, d = data.num_classes, data.num_features
+    _refuse_oversize(k * d + k, f"a {k} x {d} model", source, DatasetFormatError)
 
 
 def _evaluate(model, data):
@@ -279,6 +306,7 @@ def _cmd_train(args) -> int:
         test_data = _load_dataset(args.test, args.num_classes, args.num_features)
         manifest.add_dataset(args.test)
         train_data, test_data = unify_pair(train_data, test_data)
+        _refuse_model(train_data, args.test)  # its K or D joined with the train set's
         eval_data, eval_split = test_data, "test"
     else:
         eval_data, eval_split = train_data, "train"
@@ -373,32 +401,19 @@ def _cmd_compare(args) -> int:
     test_data = _load_dataset(args.test, args.num_classes, args.num_features)
     manifest.add_dataset(args.test)
 
-    reference = LinearModel.load(ref_path)
-    manifest.add_dataset(ref_path)
-    if (
-        reference.num_classes != test_data.num_classes
-        or reference.num_features != test_data.num_features
-    ):
-        raise CheckpointError(
-            f"checkpoint {ref_path} is {reference.num_classes} x "
-            f"{reference.num_features} but the test set is "
-            f"{test_data.num_classes} x {test_data.num_features}"
-        )
-
-    error, mean_nlpd = _evaluate(reference, test_data)
-    reports = [MethodReport(method=ref_name, error=error, nlpd=mean_nlpd)]
-    for name, path in candidates:
+    # the reference is the first model; candidates are scored against it
+    shape = (test_data.num_classes, test_data.num_features)
+    reference, reports = None, []
+    for name, path in [(ref_name, ref_path)] + candidates:
         model = LinearModel.load(path)
         manifest.add_dataset(path)
-        if (
-            model.num_classes != reference.num_classes
-            or model.num_features != reference.num_features
-        ):
+        if (model.num_classes, model.num_features) != shape:
             raise CheckpointError(
-                f"checkpoint {path} shape does not match the reference"
-            )
+                f"checkpoint {path} is {model.num_classes} x {model.num_features} "
+                f"but the test set is {shape[0]} x {shape[1]}")
+        reference = model if reference is None else reference
         try:
-            norm = param_norm(reference, model)
+            norm = None if model is reference else param_norm(reference, model)
         except ValueError as exc:  # shapes match, so the reference is zero
             raise CheckpointError(f"reference checkpoint {ref_path}: {exc}") from None
         error, mean_nlpd = _evaluate(model, test_data)

@@ -8,8 +8,7 @@ instead of the exact log likelihood, the lower-bound surrogates from
 
 * ``ove_fit``      -- sum_k N_k * ove_log_bound(f, k), by L-BFGS
 * ``bouchard_fit`` -- sum_k N_k * bouchard_log_bound(f, k, alpha), one
-                      shared alpha, maximized over alpha exactly at every
-                      f and over f by the same L-BFGS
+                      shared alpha; its joint maximizer in closed form
 * ``ove_sgd_fit``  -- the OVE surrogate again, but optimized from a label
                       stream with doubly stochastic SGD: minibatches over
                       observations and a subsample of rival classes
@@ -32,7 +31,6 @@ from softmax_bounds.bounds import (
     _sigmoid_impl,
     _softmax_rows,
     _softplus_impl,
-    optimize_alpha,
     ove_log_bound_all,
 )
 from softmax_bounds.config import ConfigError, NumericalError, OptimizerSettings, TrainConfig
@@ -133,21 +131,23 @@ class EstimationResult:
         return out
 
 
-def _pad_result(
-    method: str,
-    counts: CountVector,
-    active: np.ndarray,
-    f_active: np.ndarray,
-    trace: list[tuple[int, float]],
-    alpha: float | None = None,
-) -> EstimationResult:
-    """Gauge-fix active scores, pad with -inf / 0 for excluded classes."""
-    f_active = f_active - f_active.mean()
+def _count_fit(method: str, counts: CountVector, fit, alpha: float | None = None):
+    """The ``EstimationResult`` of ``fit(c) -> (f, trace, alpha)`` run on the
+    active (count > 0) counts c: scores gauge-fixed to sum to zero, padded
+    with -inf / 0 for the excluded classes. With one active class a
+    surrogate is maximized by pushing its score to +inf, so ``fit`` is not
+    run and the degenerate exact answer (f = 0, value 0, ``alpha``) stands in.
+    """
+    active = np.flatnonzero(counts.counts > 0)
+    f, trace = np.zeros(1), [(0, 0.0)]
+    if active.size > 1:
+        f, trace, alpha = fit(counts.counts[active])
+    f = f - f.mean()
     k = counts.num_classes
     f_hat = np.full(k, -np.inf)
-    f_hat[active] = f_active
+    f_hat[active] = f
     probs = np.zeros(k)
-    probs[active] = _softmax_rows(f_active)
+    probs[active] = _softmax_rows(f)
     return EstimationResult(
         method=method, f_hat=f_hat, probs=probs, objective_trace=trace, alpha=alpha
     )
@@ -159,12 +159,11 @@ def exact_mle(counts: CountVector) -> EstimationResult:
     Scores are log counts, gauge-fixed to sum to zero over active classes;
     probabilities come out as the exact ratios (no round trip through exp).
     """
-    c = counts.counts
-    active = np.flatnonzero(c > 0)
-    probs = c[active] / counts.total
-    loglik = float(np.sum(c[active] * np.log(probs)))
-    result = _pad_result("exact", counts, active, np.log(c[active]), [(0, loglik)])
-    result.probs[active] = probs
+    def fit(c):
+        return np.log(c), [(0, float(np.sum(c * np.log(c / counts.total))))], None
+
+    result = _count_fit("exact", counts, fit)
+    result.probs = counts.counts / counts.total
     return result
 
 
@@ -299,50 +298,35 @@ def ove_fit(
     reason, if the gradient inf-norm stays above ``settings.grad_tol``.
     """
     settings.validate()
-    active = np.flatnonzero(counts.counts > 0)
-    if active.size < 2:
-        # one active class: the surrogate is maximized by pushing its score
-        # to +inf; report the degenerate exact answer instead
-        return _pad_result("ove", counts, active, np.zeros(1), [(0, 0.0)])
-    sub = CountVector(counts.counts[active])
 
-    def vg(f):
-        return ove_objective(f, sub), ove_objective_grad(f, sub)
+    def fit(c):
+        sub = CountVector(c)
+        result = _maximize(lambda f: (ove_objective(f, sub), ove_objective_grad(f, sub)),
+                           np.zeros(c.size), settings)
+        return (*_gated(result, settings), None)
 
-    f, trace = _gated(_maximize(vg, np.zeros(active.size), settings), settings)
-    return _pad_result("ove", counts, active, f, trace)
+    return _count_fit("ove", counts, fit)
 
 
-def bouchard_fit(
-    counts: CountVector, settings: OptimizerSettings = OptimizerSettings()
-) -> EstimationResult:
-    """Maximize the shared-alpha variational bound.
+def bouchard_fit(counts: CountVector) -> EstimationResult:
+    """The maximizer of the shared-alpha variational bound, in closed form.
 
-    Runs ``_maximize`` on the profile objective P(f) = max_alpha G(f, alpha),
-    with alpha*(f) from ``optimize_alpha``. Its gradient is the envelope
-    gradient N_k - N sigmoid(f_k - alpha*(f)), because dG/dalpha vanishes at
-    alpha*. G is jointly concave, so P is concave and its maximizer is the
-    joint optimum: sigmoid(f_k - alpha) = N_k / N, i.e. fitted probabilities
+    G(f, alpha) is jointly concave, and it is stationary exactly where
+    sigmoid(f_k - alpha) = N_k / N for every active class k. So f_k - alpha
+    is the log odds L_k = log N_k - log(N - N_k), and the gauge sum f = 0
+    gives f = L - mean(L) and alpha = -mean(L). The fitted probabilities are
     proportional to N_k / (N - N_k). Since x / (N - x) is convex, the fit
     systematically exaggerates the exact MLE: frequent classes gain mass,
     rare classes lose it (for K = 2 the fitted odds are the squared
-    empirical odds). Raises ConvergenceError as ``ove_fit`` does.
+    empirical odds). ``objective_trace`` is the one row (0, G at the
+    maximizer), as for ``exact_mle``.
     """
-    settings.validate()
-    active = np.flatnonzero(counts.counts > 0)
-    if active.size < 2:
-        return _pad_result("bouchard", counts, active, np.zeros(1), [(0, 0.0)], alpha=0.0)
-    sub = CountVector(counts.counts[active])
-    c, n = sub.counts.astype(np.float64), float(sub.total)
+    def fit(c):
+        logit = np.log(c) - np.log(counts.total - c)
+        alpha = -logit.mean()
+        return logit, [(0, bouchard_objective(logit + alpha, alpha, CountVector(c)))], alpha
 
-    def vg(f):
-        alpha = optimize_alpha(f)
-        return bouchard_objective(f, alpha, sub), c - n * _sigmoid_impl(f - alpha)
-
-    f, trace = _gated(_maximize(vg, np.zeros(active.size), settings), settings)
-    # report alpha in the same gauge as the returned scores (sum f = 0)
-    alpha = optimize_alpha(f) - f.mean()
-    return _pad_result("bouchard", counts, active, f, trace, alpha=alpha)
+    return _count_fit("bouchard", counts, fit, alpha=0.0)
 
 
 def sample_rival_classes(

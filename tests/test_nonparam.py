@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from softmax_bounds import nonparam
-from softmax_bounds.bounds import _log_sigmoid_impl, _sigmoid_impl
+from softmax_bounds.bounds import _log_sigmoid_impl, _sigmoid_impl, _softmax_rows, optimize_alpha
 from softmax_bounds.config import ConfigError, OptimizerSettings, TrainConfig
 from softmax_bounds.nonparam import (
     CountVector,
@@ -244,6 +244,36 @@ class TestOveFit:
             )
 
 
+def bouchard_profile(counts: CountVector):
+    """Value and gradient of the profile objective P(f) = max_alpha G(f, alpha),
+    the function ``bouchard_fit`` maximized by L-BFGS before it returned the
+    closed form. Its gradient is the envelope gradient
+    N_k - N sigmoid(f_k - alpha*(f)), since dG/dalpha vanishes at alpha*."""
+    c, n = counts.counts.astype(np.float64), float(counts.total)
+
+    def vg(f):
+        alpha = optimize_alpha(f)
+        return bouchard_objective(f, alpha, counts), c - n * _sigmoid_impl(f - alpha)
+
+    return vg
+
+
+def assert_matches_iterative_fit(counts: CountVector):
+    """``bouchard_fit`` against L-BFGS on ``bouchard_profile`` from f = 0 over
+    the active classes: the ascent meets the gate, and scores, alpha and
+    probabilities agree to 1e-7 and the objective to 1e-12 relative."""
+    active = counts.counts > 0
+    sub = CountVector(counts.counts[active])
+    f, value, _, _, reason = nonparam._maximize(
+        bouchard_profile(sub), np.zeros(sub.num_classes), OptimizerSettings())
+    assert reason == nonparam._CONVERGED
+    res = bouchard_fit(counts)
+    np.testing.assert_allclose(res.f_hat[active], f - f.mean(), rtol=0, atol=1e-7)
+    assert res.alpha == pytest.approx(optimize_alpha(f) - f.mean(), abs=1e-7)
+    np.testing.assert_allclose(res.probs[active], _softmax_rows(f), rtol=0, atol=1e-7)
+    assert res.objective_trace == [(0, pytest.approx(value, rel=1e-12, abs=0))]
+
+
 class TestBouchardFit:
     def test_two_class_squared_ratios(self):
         # counts (3,1): fitted probabilities (9, 1)/10, alpha at the midpoint
@@ -307,14 +337,19 @@ class TestBouchardFit:
         # gradient inf-norm <= 1e-8 puts each sigmoid within 1e-8 / N of N_k / N
         np.testing.assert_allclose(sig, c / c.sum(), rtol=0, atol=1e-11)
 
-    def test_iteration_budget_raises(self):
-        from softmax_bounds.bounds import ConvergenceError
+    @pytest.mark.parametrize("counts", [(3, 1), (1, 2, 3, 4), (7000, 2000, 1000), (2, 7, 4)])
+    def test_matches_the_iterative_fit(self, counts):
+        assert_matches_iterative_fit(CountVector(np.array(counts)))
 
-        with pytest.raises(ConvergenceError):
-            bouchard_fit(
-                CountVector(np.array([2, 3, 5])),
-                OptimizerSettings(grad_tol=1e-8, max_iter=3),
-            )
+    def test_iterative_fit_stalls_on_counts_over_five_decades(self):
+        # near the optimum each step gains less than float noise on the
+        # value, so L-BFGS on the profile stops short of the gate (the
+        # closed form meets these counts: see test_cli)
+        counts = CountVector(np.array([100000, 1000, 10, 1]))
+        _, _, grad, _, reason = nonparam._maximize(
+            bouchard_profile(counts), np.zeros(4), OptimizerSettings())
+        assert reason == "no progress in 50 iterations"
+        assert np.max(np.abs(grad)) > 1e-8
 
     def test_objective_gradient_at_fit(self):
         counts = CountVector(np.array([5, 3, 8]))
@@ -474,7 +509,8 @@ def count_vectors(draw):
 
 
 class TestCountFitProperties:
-    """The L-BFGS fits against the closed forms of their optima."""
+    """The count fits against the closed forms of their optima, and the
+    Bouchard closed form against the L-BFGS ascent it replaced."""
 
     @given(counts=count_vectors())
     def test_ove_fit_is_the_mle(self, counts):
@@ -483,12 +519,16 @@ class TestCountFitProperties:
 
     @given(counts=count_vectors())
     def test_bouchard_fit_solves_its_stationarity(self, counts):
-        # the gate |N_k - N sigmoid(f_k - alpha)| <= 1e-8 bounds each
-        # sigmoid's distance to N_k / N by 1e-8 / N, up to rounding
+        # the closed form meets the stationarity to rounding, inside the
+        # 1e-8 / N per sigmoid that the L-BFGS gradient gate allowed
         res = bouchard_fit(counts)
         sig = _sigmoid_impl(res.f_hat - res.alpha)
         n = counts.total
         np.testing.assert_allclose(sig, counts.counts / n, rtol=0, atol=1e-8 / n + 1e-15)
+
+    @given(counts=count_vectors())
+    def test_bouchard_fit_matches_the_iterative_fit(self, counts):
+        assert_matches_iterative_fit(counts)
 
 
 class TestRivalSamplingProperties:
