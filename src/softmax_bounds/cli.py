@@ -465,6 +465,8 @@ def main(argv=None) -> int:
         "compare": _cmd_compare,
     }
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {args.seed}")
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -73,8 +73,8 @@ class TrainConfig:
             raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not self.lam >= 0:
-            raise ConfigError(f"lam must be >= 0, got {self.lam}")
+        if not 0 <= self.lam < math.inf:
+            raise ConfigError(f"lam must be >= 0 and finite, got {self.lam}")
         if self.lr0 * self.lam >= 1:
             raise ConfigError(
                 f"lr0 * lam = {self.lr0 * self.lam:g} >= 1 would flip weight signs; "

@@ -161,8 +161,8 @@ class Objective:
     def validate(self, num_instances: int | None = None) -> None:
         if self.kind not in (KIND_EXACT, KIND_OVE, KIND_BOUCHARD):
             raise ValueError(f"unknown objective kind {self.kind!r}")
-        if not self.lam >= 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be >= 0 and finite, got {self.lam}")
         if self.kind == KIND_BOUCHARD:
             if self.per_instance_alpha is None:
                 raise ValueError("bouchard objective requires per_instance_alpha")

@@ -18,11 +18,12 @@ holds about sqrt(pi K / 2) / (S + 1) steps, so the cost per instance falls
 as K grows.
 
 L2 regularization would break that cost model (decay touches every
-parameter), so it is applied lazily: weights are stored as
-``w[r] = scale[r] * v[r]`` with one scalar scale per row, a global running
-log-product of decay factors, and a per-row snapshot of that log-product.
-Touching a row folds in the decay it missed; materialization at the end
-settles every row. Biases are never regularized and update directly.
+parameter), so it is applied lazily. A step decays every weight by one
+factor, 1 - lr * lam * |batch| / N, so the weights are stored as ``g * v``
+with one scalar ``g``: a step multiplies g by its factor and divides its
+sparse update by the new g (Bottou, "Stochastic Gradient Descent Tricks",
+2012, section 5.1). g's path does not depend on the weights, so the fused
+run stays bit-identical. Biases are never regularized and update directly.
 
 ``fit_full_batch`` is the deterministic counterpart used for the baseline
 objectives (exact softmax, full OVE, Bouchard with per-instance alphas);
@@ -64,8 +65,9 @@ __all__ = [
     "fit_full_batch",
 ]
 
-# fold a row's scale into its values once it drifts this small, so long
-# untouched stretches under strong decay cannot underflow the scale
+# ``train`` folds its decay scalar g into the weights at a chunk start once g
+# is this small; a chunk decays g by at least 1 - lr0 * lam > 0, so dividing
+# updates by g cannot overflow
 _RENORM_THRESHOLD = 1e-6
 
 
@@ -163,7 +165,7 @@ def _sgd_step(
     values: np.ndarray,
     classes: np.ndarray,
     flat_values: np.ndarray,
-    scale: np.ndarray,
+    scale: float | np.ndarray,
     biases: np.ndarray,
     scale_factor: float,
     batch_size: int,
@@ -171,12 +173,13 @@ def _sgd_step(
     """The doubly stochastic step over gathered instances, without applying it.
 
     ``classes`` holds one (label, rivals...) row per instance and the other
-    index arrays are as ``_gather`` returns them. The weight of class r and
-    feature j is ``scale[r] * flat_values[r * D + j]``. Returns the sparse
-    delta of the instances' summed sampled bound, rescaled by
-    ``scale_factor``, and the (m, S) rise of each rival's score above its
-    label's, from which ``_bound_estimate`` takes a batch's bound. The
-    instances form consecutive batches of ``batch_size``; only the
+    index arrays are as ``_gather`` returns them. Instance i reads the
+    weight of class r and feature j as ``scale * flat_values[r * D + j]``,
+    with ``scale`` a scalar or an (m, 1) column whose row i serves instance
+    i. Returns the sparse delta of the instances' summed sampled bound,
+    rescaled by ``scale_factor``, and the (m, S) rise of each rival's score
+    above its label's, from which ``_bound_estimate`` takes a batch's bound.
+    The instances form consecutive batches of ``batch_size``; only the
     NumericalError message uses that. Costs O(m * (S + 1) * nnz).
     """
     m, width = classes.shape
@@ -187,7 +190,7 @@ def _sgd_step(
     with np.errstate(over="ignore", invalid="ignore"):
         terms = flat_values[slots] * values[:, None]
         raw[nonempty] = np.add.reduceat(terms, ptr[:-1][nonempty], axis=0)
-        scores = biases[classes] + scale[classes] * raw
+        scores = biases[classes] + scale * raw
         finite = np.isfinite(scores).all(axis=1)
         if not finite.all():
             i = int(np.argmin(finite))
@@ -231,12 +234,8 @@ def stochastic_gradient(
     scale_factor = (num_classes - 1) / num_sampled
     delta, rise = _sgd_step(
         *_gather(indptr, indices, data, np.arange(labels.size), classes, model.num_features),
-        classes,
-        np.ascontiguousarray(model.weights).reshape(-1),
-        np.ones(num_classes),
-        model.biases,
-        scale_factor,
-        labels.size,
+        classes, np.ascontiguousarray(model.weights).reshape(-1), 1.0, model.biases,
+        scale_factor, labels.size,
     )
     return delta, _bound_estimate(rise, scale_factor)
 
@@ -248,11 +247,10 @@ class _Plan:
     Instances ``j * b`` up to ``(j + 1) * b`` form batch j; ``classes``,
     ``ptr``, ``owner``, ``slots`` and ``values`` cover all of them, laid
     out by ``_gather``. Batch j wrote the sorted weight rows
-    ``rows[row_ptr[j]:row_ptr[j + 1]]``, and ``row_batch`` names the batch
-    of every entry of ``rows``. ``groups`` lists the first batch of each
-    group, then the batch count. A group is a run of consecutive batches
-    whose rows are pairwise disjoint, grown greedily until the next batch
-    shares a row with one of its batches.
+    ``rows[row_ptr[j]:row_ptr[j + 1]]``. ``groups`` lists the first batch
+    of each group, then the batch count. A group is a run of consecutive
+    batches whose rows are pairwise disjoint, grown greedily until the next
+    batch shares a row with one of its batches.
     """
 
     classes: np.ndarray
@@ -261,7 +259,6 @@ class _Plan:
     slots: np.ndarray
     values: np.ndarray
     rows: np.ndarray
-    row_batch: np.ndarray
     row_ptr: list[int]
     groups: list[int]
 
@@ -285,13 +282,13 @@ def _plan(
     # distinct (batch, row) pairs by one sort, ordered by batch, then row
     keys = np.sort((np.arange(m) // batch_size)[:, None] * num_classes + classes, axis=None)
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    row_batch, rows = np.divmod(keys, num_classes)
-    row_ptr = np.searchsorted(row_batch, np.arange(num_batches + 1)).tolist()
+    key_batch, rows = np.divmod(keys, num_classes)
+    row_ptr = np.searchsorted(key_batch, np.arange(num_batches + 1)).tolist()
 
     # for each batch, the latest earlier batch that wrote any of its rows;
     # a stable sort by row keeps each row's batches ascending
     by_row = np.argsort(rows, kind="stable")
-    writer, row_sorted = row_batch[by_row], rows[by_row]
+    writer, row_sorted = key_batch[by_row], rows[by_row]
     same = row_sorted[1:] == row_sorted[:-1]
     previous = np.full(keys.size, -1)
     previous[1:][same] = writer[:-1][same]
@@ -303,7 +300,7 @@ def _plan(
         if seen >= groups[-1]:
             groups.append(j)
     groups.append(num_batches)
-    return _Plan(classes, ptr, owner, slots, values, rows, row_batch, row_ptr, groups)
+    return _Plan(classes, ptr, owner, slots, values, rows, row_ptr, groups)
 
 
 def _check_shapes(model: LinearModel, data: SparseDataset) -> None:
@@ -338,6 +335,11 @@ def train(
     vectorised group. A step reads only the rows it writes, so the result
     is bit for bit that of running the steps one at a time.
 
+    At a chunk start, a decay scalar g (see the module docstring) below
+    ``_RENORM_THRESHOLD`` is folded into the weights, at O(K * D) cost. One
+    epoch decays g by at least 1 - lr0 * lam, so at lr0 * lam = 1e-4 the
+    first fold comes after more than 1e5 epochs.
+
     ``probe``, if given, is called once per step, in step order, as
     ``probe(step, rows)`` with the sorted array of weight rows the step
     wrote. The call comes after the step's update has been applied,
@@ -354,17 +356,12 @@ def train(
 
     num_classes = model.num_classes
     scale_factor = (num_classes - 1) / config.num_sampled
-    lam = config.lam
 
-    # lazy-decay state: true weights are scale[r] * values[r]; cum_log is
-    # the log of the total decay applied so far and row_log[r] records the
-    # cum_log at which row r last folded its share in
+    # lazy decay: the true weights are g * values
     values = model.weights.copy()
     flat_values = values.reshape(-1)
-    scale = np.ones(num_classes)
     biases = model.biases.copy()
-    cum_log = 0.0
-    row_log = np.zeros(num_classes)
+    g = 1.0
 
     trace = TrainTrace()
     t0 = time.perf_counter()
@@ -376,63 +373,53 @@ def train(
         plan = _plan(indptr, feat_idx, feat_val, chosen, classes, b, num_classes,
                      model.num_features)
         m, num_batches = chosen.size, plan.groups[-1]
+        if g < _RENORM_THRESHOLD:
+            values *= g
+            g = 1.0
         # the batch supplies len(batch) of the n data terms, so the
         # penalty share keeping the step unbiased for the summed
-        # objective is lam * len(batch) / n; each distinct log is taken
-        # as a scalar and accumulated in step order, as a running sum
-        decay = np.full(num_batches, 1.0 - lr * lam * (b / n))
-        decay[-1] = 1.0 - lr * lam * ((m - (num_batches - 1) * b) / n)
-        log_decay = np.full(num_batches, np.log(decay[0]))
-        log_decay[-1] = np.log(decay[-1])
-        cum = np.add.accumulate(np.concatenate(([cum_log], log_decay)))
-        cum_log = cum[-1]
-        row_before = cum[plan.row_batch]
-        row_after = cum[plan.row_batch + 1]
-        row_decay = decay[plan.row_batch]
+        # objective is lam * len(batch) / n; gs[j] is g before batch j,
+        # multiplied up in step order as the steps one at a time would
+        decay = np.full(num_batches, 1.0 - lr * config.lam * (b / n))
+        decay[-1] = 1.0 - lr * config.lam * ((m - (num_batches - 1) * b) / n)
+        gs = np.multiply.accumulate(np.concatenate(([g], decay)))
+        g = float(gs[-1])
+        # instance i reads its scores with g_at[i] and divides its update
+        # by g_at[i + b], the g before and after its batch
+        g_at = np.repeat(gs, b)[:, None]
 
-        for g0, g1 in zip(plan.groups, plan.groups[1:]):
+        for j0, j1 in zip(plan.groups, plan.groups[1:]):
             # every row below was written by exactly one batch of the
             # group, which reads no other row, so the group does to each
             # row what the steps one at a time would, in the same order
-            i0, i1 = g0 * b, min(g1 * b, m)
-            r0, r1 = plan.row_ptr[g0], plan.row_ptr[g1]
+            i0, i1 = j0 * b, min(j1 * b, m)
             z0, z1 = plan.ptr[i0], plan.ptr[i1]
-            rows = plan.rows[r0:r1]
-            # exp(0) is exactly 1, so rows with nothing pending keep
-            # their scale
-            scale[rows] *= np.exp(row_before[r0:r1] - row_log[rows])
             delta, rise = _sgd_step(
                 plan.ptr[i0 : i1 + 1] - z0, plan.owner[z0:z1] - i0, plan.slots[z0:z1],
-                plan.values[z0:z1], plan.classes[i0:i1], flat_values, scale, biases,
-                scale_factor, b,
+                plan.values[z0:z1], plan.classes[i0:i1], flat_values, g_at[i0:i1],
+                biases, scale_factor, b,
             )
             # an overflowing update shows as a non-finite score or
             # parameter later, reported as NumericalError
             with np.errstate(over="ignore", invalid="ignore"):
-                scale[rows] *= row_decay[r0:r1]
-                row_log[rows] = row_after[r0:r1]
                 # np.add.at, not a fancy-index +=, so that instances
                 # sharing a (class, feature) pair all land
                 steps = lr * delta.coeffs
-                row_steps = (steps / scale[delta.classes])[delta.owner]
+                row_steps = (steps / g_at[i0 + b : i1 + b])[delta.owner]
                 np.add.at(flat_values, delta.slots, row_steps * delta.values[:, None])
                 np.add.at(biases, delta.classes, steps)
-                small = rows[np.abs(scale[rows]) < _RENORM_THRESHOLD]
-                if small.size:
-                    values[small] *= scale[small, None]
-                    scale[small] = 1.0
 
             if probe is not None:
-                for j in range(g0, g1):
+                for j in range(j0, j1):
                     probe(step + j, plan.rows[plan.row_ptr[j] : plan.row_ptr[j + 1]])
             # the first multiple of log_every at or after the group's start
-            first_logged = -(-(step + g0) // log_every) * log_every
-            for logged in range(first_logged, step + g1, log_every):
-                k = logged - step - g0
+            first_logged = -(-(step + j0) // log_every) * log_every
+            for logged in range(first_logged, step + j1, log_every):
+                k = logged - step - j0
                 bound = _bound_estimate(rise[k * b : (k + 1) * b], scale_factor)
                 elapsed_ms = (time.perf_counter() - t0) * 1000.0
                 trace.rows.append((logged, bound, lr, epoch, elapsed_ms))
-            last_rise = rise[(g1 - 1 - g0) * b :]
+            last_rise = rise[(j1 - 1 - j0) * b :]
         step += num_batches
 
     if (step - 1) % log_every != 0:
@@ -442,15 +429,13 @@ def train(
             (step - 1, _bound_estimate(last_rise, scale_factor), lr, epoch, elapsed_ms)
         )
 
-    # settle every row's pending decay and check the result in one pass,
-    # a cache-sized block of rows at a time
+    # fold g in and check the result in one pass, a cache-sized block of
+    # rows at a time; 0 < g <= 1, so the product cannot overflow
     finite = np.isfinite(biases).all()
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale *= np.exp(cum_log - row_log)
-        for rows in _row_slices(*values.shape):
-            block = values[rows]
-            block *= scale[rows, None]
-            finite &= np.isfinite(block).all()
+    for rows in _row_slices(*values.shape):
+        block = values[rows]
+        block *= g
+        finite &= np.isfinite(block).all()
     if not finite:
         raise NumericalError(
             "training produced non-finite parameters; lower the learning rate"
@@ -514,8 +499,8 @@ def fit_full_batch(
     settings.validate()
     if objective.kind not in (KIND_EXACT, KIND_OVE, KIND_BOUCHARD):
         raise ConfigError(f"unknown objective kind {objective.kind!r}")
-    if not objective.lam >= 0:
-        raise ConfigError(f"lam must be >= 0, got {objective.lam}")
+    if not 0 <= objective.lam < np.inf:
+        raise ConfigError(f"lam must be >= 0 and finite, got {objective.lam}")
     _check_shapes(model, data)
 
     if objective.kind == KIND_BOUCHARD:

@@ -515,13 +515,14 @@ class TestTrain:
         assert rc == 2
         assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -2\n"
 
-    @pytest.mark.parametrize("objective", ["ove", "soft", "ove-sgd"])
+    @pytest.mark.parametrize("objective", ["ove", "soft", "ove-sgd", "bouchard"])
     def test_nan_lam(self, toy_files, tmp_path, capsys, objective):
         train, _ = toy_files
-        rc = cli.main(["train", "--train", train, "--objective", objective,
-                       "--lam", "nan", "--out", str(tmp_path / "run")])
-        assert rc == 2
-        assert "lam must be >= 0, got nan" in capsys.readouterr().err
+        for lam in ("nan", "inf"):
+            rc = cli.main(["train", "--train", train, "--objective", objective,
+                           "--lam", lam, "--out", str(tmp_path / "run")])
+            assert rc == 2
+            assert f"lam must be >= 0 and finite, got {lam}" in capsys.readouterr().err
 
     def test_too_many_sampled_classes(self, toy_files, tmp_path):
         train, _ = toy_files
@@ -727,6 +728,24 @@ class TestCompare:
         assert rc == 3
         assert capsys.readouterr().err == (
             f"error: checkpoint {ckpt} is 3 x 7 but the test set is 5 x 2\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--method", "ove", "--counts", "1,2", "--seed", "-1"],
+    ["estimate", "--method", "exact", "--labels", "LABELS", "--seed", "-3"],
+    ["train", "--train", "TRAIN", "--objective", "soft", "--seed", "-4"],
+], ids=["estimate-counts", "estimate-labels", "train-soft"])
+def test_negative_seed_exits_2_on_every_command(argv, toy_files, tmp_path, capsys):
+    # these paths never draw from a seeded stream, so only the CLI's own
+    # check stops them before a manifest records the seed
+    labels = tmp_path / "labels.txt"
+    labels.write_text("1\n2\n")
+    argv = [{"LABELS": str(labels), "TRAIN": toy_files[0]}.get(a, a) for a in argv]
+    out = tmp_path / "run"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: seed must be a non-negative integer, got {argv[-1]}\n")
+    assert not out.exists()
 
 
 class TestManifest:

@@ -307,9 +307,11 @@ class TestBouchardFit:
         assert res.probs[1] == pytest.approx(81 / 82, abs=1e-6)
 
     def test_objective_trace_nondecreasing(self):
-        res = bouchard_fit(CountVector(np.array([2, 7, 4])))
-        vals = [v for _, v in res.objective_trace]
-        assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+        # the closed form's trace is one row: the bound at the returned fit
+        for c in ([2, 7, 4], [3, 1], [1, 2, 3, 4], [7000, 2000, 1000], [100000, 1000, 10, 1]):
+            counts = CountVector(np.array(c))
+            res = bouchard_fit(counts)
+            assert res.objective_trace == [(0, bouchard_objective(res.f_hat, res.alpha, counts))]
 
     def test_bound_ordering_at_optima(self):
         # surrogate values at each method's own optimum are ordered:

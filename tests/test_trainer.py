@@ -226,10 +226,22 @@ class TestTrain:
         model = LinearModel(
             weights=rng.normal(size=(k, d)) * 0.3, biases=rng.normal(size=k) * 0.1
         )
-        cfg = TrainConfig(
-            batch_size=3, num_sampled=2, lr0=0.2, lr_decay=0.9, epochs=4,
-            lam=0.7, seed=21,
-        )
+        # the second config takes one step of decay 0.01 per epoch, so the
+        # decay scalar falls below the threshold and is folded into the
+        # weights at an epoch start
+        folding = TrainConfig(batch_size=n, num_sampled=2, lr0=0.99, lr_decay=1.0,
+                              epochs=6, lam=1.0, seed=21)
+        assert (1.0 - folding.lr0 * folding.lam) ** (folding.epochs - 1) < _RENORM_THRESHOLD
+        for cfg in (
+            TrainConfig(batch_size=3, num_sampled=2, lr0=0.2, lr_decay=0.9, epochs=4,
+                        lam=0.7, seed=21),
+            folding,
+        ):
+            self.check_against_eager_reference(model, data, cfg)
+
+    @staticmethod
+    def check_against_eager_reference(model, data, cfg):
+        k, d, n = model.num_classes, model.num_features, len(data)
         got, _ = train(model, data, cfg)
 
         # dense re-implementation consuming the identical random streams
@@ -449,7 +461,10 @@ def reference_train(model, data, config, probe=None):
     disjoint rows were fused, kept as the oracle the fused loop must match
     bit for bit. It draws the rivals as ``train`` does, one sampler call per
     chunk of ``nonparam._CHUNK`` instances rounded down to whole batches.
-    Returns (weights, biases, trace rows without elapsed_ms)."""
+    It keeps the weights as ``g * values`` with one decay scalar ``g``, as
+    ``train`` does, so that the comparison tests the fusion alone, not how
+    the decay is represented. Returns (weights, biases, trace rows without
+    elapsed_ms)."""
     n = len(data)
     mat, labels_all = data.to_csr()
     indptr, feat_idx, feat_val = mat.indptr, mat.indices, mat.data
@@ -460,15 +475,8 @@ def reference_train(model, data, config, probe=None):
     lam = config.lam
     values = model.weights.copy()
     flat_values = values.reshape(-1)
-    scale = np.ones(num_classes)
     biases = model.biases.copy()
-    cum_log = 0.0
-    row_log = np.zeros(num_classes)
-
-    def materialize_rows(rows):
-        scale[rows] *= np.exp(cum_log - row_log[rows])
-        row_log[rows] = cum_log
-
+    g = 1.0
     rows_logged = []
     step = 0
     batch_size = min(config.batch_size, n)
@@ -479,6 +487,9 @@ def reference_train(model, data, config, probe=None):
         order = shuffle_rng.permutation(n)
         for start in range(0, n, batch_size):
             if start % chunk == 0:
+                if g < _RENORM_THRESHOLD:
+                    values *= g
+                    g = 1.0
                 chunk_rivals = sample_rival_classes(
                     class_rng, labels_all[order[start : start + chunk]],
                     num_classes=num_classes, num_sampled=config.num_sampled,
@@ -488,7 +499,6 @@ def reference_train(model, data, config, probe=None):
             rivals = chunk_rivals[start % chunk : start % chunk + batch_size]
             classes = np.column_stack((batch_labels, rivals))
             touched = np.unique(classes)
-            materialize_rows(touched)
 
             b, width = classes.shape
             starts = indptr[chosen]
@@ -503,7 +513,7 @@ def reference_train(model, data, config, probe=None):
             with np.errstate(over="ignore", invalid="ignore"):
                 terms = flat_values[slots] * feat_values[:, None]
                 raw[nonempty] = np.add.reduceat(terms, offsets[nonempty], axis=0)
-                scores = biases[classes] + scale[classes] * raw
+                scores = biases[classes] + g * raw
             if not np.isfinite(scores).all():
                 i = int(np.argmin(np.isfinite(scores).all(axis=1)))
                 raise NumericalError(
@@ -516,19 +526,11 @@ def reference_train(model, data, config, probe=None):
             coeffs[:, 0] = scale_factor * sig.sum(axis=1)
             coeffs[:, 1:] = -scale_factor * sig
 
-            if lam > 0.0:
-                decay = 1.0 - lr * lam * (len(chosen) / n)
-                cum_log += np.log(decay)
-                scale[touched] *= decay
-                row_log[touched] = cum_log
+            g *= 1.0 - lr * lam * (len(chosen) / n)
             steps = lr * coeffs
-            row_steps = (steps / scale[classes])[owner]
+            row_steps = (steps / g)[owner]
             np.add.at(flat_values, slots, row_steps * feat_values[:, None])
             np.add.at(biases, classes, steps)
-            small = touched[np.abs(scale[touched]) < _RENORM_THRESHOLD]
-            if small.size:
-                values[small] *= scale[small, None]
-                scale[small] = 1.0
 
             if probe is not None:
                 probe(step, touched)
@@ -538,8 +540,7 @@ def reference_train(model, data, config, probe=None):
             step += 1
     if last_logged != step - 1:
         rows_logged.append((step - 1, bound, lr, epoch))
-    materialize_rows(np.arange(num_classes))
-    values *= scale[:, None]
+    values *= g
     return values, biases, rows_logged
 
 
@@ -609,8 +610,9 @@ class TestFusedSteps:
         self.both(data, k, d, cfg)
 
     def test_matches_through_renormalization(self):
-        # each step decays by 1 - 0.99 / 2, so after 15 epochs of 2 steps
-        # every row's scale has fallen below the threshold at least once
+        # each step decays by 1 - 0.99 / 2, so within 15 epochs of 2 steps
+        # the decay scalar falls below the threshold and is folded into the
+        # weights at an epoch start at least once
         k, d, n, b = 200, 20, 40, 20
         cfg = TrainConfig(batch_size=b, num_sampled=5, lr0=0.99, lr_decay=1.0,
                           epochs=15, lam=1.0, seed=3, log_every=5)
