@@ -248,14 +248,18 @@ def _cmd_estimate(args) -> int:
 
 
 def _load_dataset(path, num_classes, num_features):
-    """``load_sparse`` that refuses a K x D model no array can hold: exit 2
-    naming the flags when they alone are past it, else exit 3 naming the file."""
+    """``load_sparse`` that refuses a K x D model no array can hold, and
+    counts below 2 classes or 1 feature: exit 2 naming the flags when they
+    alone are at fault, else exit 3 naming the file."""
     from softmax_bounds.config import ConfigError
     from softmax_bounds.datasets import load_sparse
 
-    flags = (("--num-classes", num_classes), ("--num-features", num_features))
+    flags = (("--num-classes", num_classes, 2), ("--num-features", num_features, 1))
+    for flag, value, least in flags:
+        if value is not None and value < least:
+            raise ConfigError(f"{flag} must be at least {least}, got {value}")
     k, d = num_classes or 2, num_features or 1  # without the flags, 4 values: never refused
-    _refuse_oversize(k * d + k, "the model", " ".join(f"{f} {v}" for f, v in flags if v),
+    _refuse_oversize(k * d + k, "the model", " ".join(f"{f} {v}" for f, v, _ in flags if v),
                      ConfigError)
     data = load_sparse(path, num_classes=num_classes, num_features=num_features)
     _refuse_model(data, path)

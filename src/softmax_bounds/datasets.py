@@ -11,14 +11,15 @@ the loaders and writers translate at the boundary.
 In memory a dataset is one CSR matrix plus a label array: row i holds the
 feature indices ``indices[indptr[i]:indptr[i + 1]]`` and the values at the
 same positions. The arrays are validated once, when the dataset is built,
-and are read-only from then on, so every consumer shares them. A single
-instance outside a dataset is a ``SparseVector``; the per-instance APIs
-(scores, predictions, the stochastic gradient) take that form.
+and are read-only from then on, so every consumer shares them. This is
+the only in-memory form: a minibatch or a single instance is a set of row
+positions in a dataset, or a dataset of its own.
 
-Class and feature counts are inferred as maxima over the file unless a
-sidecar JSON file ``<path>.meta.json`` with keys ``{"K": ..., "D": ...}``
-pins them (needed when the test split lacks the last class, say), or the
-caller passes explicit counts.
+Class and feature counts are inferred as maxima over the file, and raised
+to at least 2 classes and 1 feature, unless a sidecar JSON file
+``<path>.meta.json`` with keys ``{"K": ..., "D": ...}`` pins them (needed
+when the test split lacks the last class, say), or the caller passes
+explicit counts. A pinned or explicit count below that minimum is refused.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from softmax_bounds.rng import substream
 
 __all__ = [
     "DatasetFormatError",
-    "SparseVector",
     "SparseDataset",
     "ReduceReport",
     "load_sparse",
@@ -54,42 +54,6 @@ _PAIRS_PER_PASS = 1 << 16
 
 class DatasetFormatError(ValueError):
     """A dataset file is malformed; the message carries the line number."""
-
-
-@dataclass
-class SparseVector:
-    """One sparse feature vector: parallel index/value arrays.
-
-    Indices are 0-based, strictly increasing; values are finite floats.
-    """
-
-    indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-    def validate(self, num_features: int | None = None) -> None:
-        """Raise ValueError unless the vector is a valid one-row dataset."""
-        limit = _INT64_MAX if num_features is None else num_features
-        indptr = np.array([0, self.indices.size])
-        _check_arrays(indptr, self.indices, self.values, np.zeros(1, np.int64), limit, 2)
-
-    def to_dense(self, num_features: int) -> np.ndarray:
-        out = np.zeros(num_features)
-        out[self.indices] = self.values
-        return out
-
-    @classmethod
-    def from_dense(cls, dense) -> "SparseVector":
-        dense = np.asarray(dense, dtype=np.float64)
-        idx = np.flatnonzero(dense)
-        return cls(idx, dense[idx])
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -219,6 +183,8 @@ def _sidecar(path: str) -> tuple[int, int]:
     dims = meta.get("K", 0), meta.get("D", 0)
     if any(type(v) is not int or v < 0 for v in dims):
         raise DatasetFormatError(f"{meta_path}: K and D must be non-negative integers")
+    if dims[0] == 1:
+        raise DatasetFormatError(f"{meta_path}: K must be 0 (not pinned) or at least 2")
     return dims
 
 
@@ -272,6 +238,9 @@ def _load(path: str, multilabel: bool, num_classes: int | None, num_features: in
     appending to flat index and value arrays. Only when a pass fails are
     its tokens tried one by one, to name the line of the first bad one.
     """
+    if any(n is not None and n < least for n, least in ((num_classes, 2), (num_features, 1))):
+        raise ConfigError(f"need num_classes >= 2 and num_features >= 1, "
+                          f"got {num_classes} and {num_features}")
     labels: list[int] = []
     linenos: list[int] = []
     counts: list[int] = []
@@ -318,24 +287,21 @@ def _load(path: str, multilabel: bool, num_classes: int | None, num_features: in
     indices, values = np.concatenate(indices), np.concatenate(values)
     y = np.array(labels, dtype=np.int64)
 
+    # an explicit count wins over the sidecar's, and 0 in the sidecar pins nothing
     meta_classes, meta_features = _sidecar(path)
-    num_classes = meta_classes if num_classes is None else num_classes
-    num_features = meta_features if num_features is None else num_features
-    num_classes = num_classes or int(y.max()) + 1
-    num_features = num_features or int(indices.max(initial=-1)) + 1
+    num_classes = num_classes or meta_classes or max(int(y.max()) + 1, 2)
+    num_features = num_features or meta_features or max(int(indices.max(initial=-1)) + 1, 1)
     fault = _fault(indptr, indices, values, y, num_features, num_classes)
     if fault is not None:
         raise DatasetFormatError(f"line {linenos[fault[0]]}: {fault[1]}")
     dataset = SparseDataset(
-        indptr, indices, values, y, max(num_features, 1), max(num_classes, 2),
-        os.path.basename(path),
+        indptr, indices, values, y, num_features, num_classes, os.path.basename(path)
     )
     return dataset, dropped
 
 
 def load_sparse(
     path: str,
-    format: str = "libsvm_like",
     num_classes: int | None = None,
     num_features: int | None = None,
 ) -> SparseDataset:
@@ -343,10 +309,9 @@ def load_sparse(
 
     Rejects duplicate or unsorted feature indices, unparsable tokens, and
     out-of-range labels, always naming the offending line. Blank lines are
-    skipped. An empty file (no instances) is an error.
+    skipped. An empty file (no instances) is an error. Explicit counts
+    below 2 classes or 1 feature raise ConfigError.
     """
-    if format != "libsvm_like":
-        raise ValueError(f"unknown format {format!r}")
     return _load(path, False, num_classes, num_features)[0]
 
 

@@ -11,9 +11,11 @@ each minus a 0.5 * lam * ||weights||^2 penalty. Biases are never
 regularized: leaving them free preserves the softmax shift symmetry in
 the bias direction, so the penalty pins the gauge only through weights.
 
-Predictions and predictive probabilities always use the exact softmax at
-evaluation time regardless of the training surrogate, so metrics are
-comparable across objectives.
+Every score comes from ``scores_matrix`` over a ``SparseDataset``; one
+instance is scored as a one-row dataset. Predictive probabilities
+(``predict_proba_all``) always use the exact softmax at evaluation time
+regardless of the training surrogate, so metrics are comparable across
+objectives.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from softmax_bounds.bounds import (
     optimize_alpha_batch,
 )
 from softmax_bounds.config import NumericalError
-from softmax_bounds.datasets import SparseDataset, SparseVector
+from softmax_bounds.datasets import SparseDataset
 
 __all__ = [
     "KIND_EXACT",
@@ -43,14 +45,11 @@ __all__ = [
     "CheckpointError",
     "LinearModel",
     "Objective",
-    "scores",
     "scores_matrix",
     "exact_loglik",
     "ove_loglik",
     "bouchard_loglik",
     "full_gradient",
-    "predict",
-    "predict_proba",
     "predict_proba_all",
 ]
 
@@ -175,20 +174,6 @@ class Objective:
                 )
         elif self.per_instance_alpha is not None:
             raise ValueError("per_instance_alpha only applies to the bouchard kind")
-
-
-def scores(model: LinearModel, x: SparseVector) -> np.ndarray:
-    """All K scores for one instance in O(K * nnz(x)).
-
-    Raises ValueError unless ``x`` is a valid row of the model's features.
-    """
-    x.validate(model.num_features)
-    if x.nnz == 0:
-        return model.biases.copy()
-    # silent, as the sparse product of scores_matrix is: predict_proba
-    # reports an overflowed score as NumericalError
-    with np.errstate(over="ignore", invalid="ignore"):
-        return model.biases + model.weights[:, x.indices] @ x.values
 
 
 def _csr(model: LinearModel, data: SparseDataset):
@@ -359,24 +344,10 @@ def full_gradient(
     return grad_w, grad_b
 
 
-def predict(model: LinearModel, x: SparseVector) -> int:
-    """Argmax class; ties resolve to the lowest index."""
-    return int(np.argmax(scores(model, x)))
-
-
-def _probabilities(f: np.ndarray) -> np.ndarray:
-    """Softmax rows of the scores ``f``, in place; NumericalError if a row's top is not finite."""
-    _softmax_rows(f, out=f)
-    if np.isnan(f[..., :1]).any():
-        raise NumericalError("non-finite score; the model has overflowed")
-    return f
-
-
-def predict_proba(model: LinearModel, x: SparseVector) -> np.ndarray:
-    """Exact softmax probabilities; NumericalError if the top score is not finite."""
-    return _probabilities(scores(model, x))
-
-
 def predict_proba_all(model: LinearModel, data: SparseDataset) -> np.ndarray:
     """Exact softmax rows; NumericalError if a row's top score is not finite."""
-    return _probabilities(scores_matrix(model, data))
+    f = scores_matrix(model, data)
+    _softmax_rows(f, out=f)
+    if np.isnan(f[:, :1]).any():
+        raise NumericalError("non-finite score; the model has overflowed")
+    return f

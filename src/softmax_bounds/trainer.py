@@ -6,7 +6,10 @@ rescaled by (K - 1) / S, which makes the step an unbiased estimate of the
 minibatch gradient of the full bound. An update therefore touches only the
 rows {label} union {sampled rivals} and, within each row, only the feature
 indices present in the instance: cost O(b * (S + 1) * nnz) per step,
-independent of K and D.
+independent of K and D. A minibatch is an array of row positions in one
+CSR ``SparseDataset``; ``stochastic_gradient`` returns the step of such a
+minibatch as a ``SparseDelta`` without applying it, through the same
+kernel as ``train``.
 
 At small b that arithmetic is tiny next to the fixed cost of a numpy call,
 so ``train`` plans the weight-independent index work of a chunk of steps in
@@ -40,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from softmax_bounds.config import ConfigError, NumericalError, OptimizerSettings, TrainConfig
-from softmax_bounds.datasets import SparseDataset, SparseVector, _check_arrays
+from softmax_bounds.datasets import SparseDataset
 from softmax_bounds.linear_model import (
     KIND_BOUCHARD,
     KIND_EXACT,
@@ -169,18 +172,18 @@ def _sgd_step(
     biases: np.ndarray,
     scale_factor: float,
     batch_size: int,
-) -> tuple[SparseDelta, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The doubly stochastic step over gathered instances, without applying it.
 
     ``classes`` holds one (label, rivals...) row per instance and the other
     index arrays are as ``_gather`` returns them. Instance i reads the
     weight of class r and feature j as ``scale * flat_values[r * D + j]``,
     with ``scale`` a scalar or an (m, 1) column whose row i serves instance
-    i. Returns the sparse delta of the instances' summed sampled bound,
-    rescaled by ``scale_factor``, and the (m, S) rise of each rival's score
-    above its label's, from which ``_bound_estimate`` takes a batch's bound.
-    The instances form consecutive batches of ``batch_size``; only the
-    NumericalError message uses that. Costs O(m * (S + 1) * nnz).
+    i. Returns the ``SparseDelta.coeffs`` of the instances' summed sampled
+    bound, rescaled by ``scale_factor``, and the (m, S) rise of each rival's
+    score above its label's, from which ``_bound_estimate`` takes a batch's
+    bound. The instances form consecutive batches of ``batch_size``; only
+    the NumericalError message uses that. Costs O(m * (S + 1) * nnz).
     """
     m, width = classes.shape
     nonempty = ptr[1:] > ptr[:-1]
@@ -198,46 +201,49 @@ def _sgd_step(
                 f"non-finite score encountered (instance {i % batch_size}, "
                 f"classes {classes[i].tolist()})"
             )
-        coeffs, rise = _ove_step(scores, scale_factor)
-    return SparseDelta(classes, coeffs, owner, slots, values), rise
+        return _ove_step(scores, scale_factor)
 
 
 def stochastic_gradient(
     model: LinearModel,
-    batch: list[tuple[SparseVector, int]],
+    data: SparseDataset,
+    rows: np.ndarray,
     num_sampled: int,
     rng: np.random.Generator,
 ) -> tuple[SparseDelta, float]:
     """One doubly stochastic gradient draw at the model's parameters.
 
-    Samples ``num_sampled`` rival classes per instance and returns the
-    rescaled sparse gradient of the summed one-vs-each bound over the
-    batch, together with the minibatch mean of the sampled bound values.
-    In expectation over the rival draw the delta equals the full-batch
-    data gradient restricted to the batch; the L2 term is not included.
-    With num_sampled = K - 1 the draw is degenerate and the delta is the
-    exact batch gradient. Raises ValueError, naming the instance, for a
-    vector that is not a valid row of the model's feature space.
+    The minibatch is rows ``rows`` of ``data``, in that order, as ``train``
+    sees a batch. Samples ``num_sampled`` rival classes per instance and
+    returns the rescaled sparse gradient of the summed one-vs-each bound
+    over the batch, together with the minibatch mean of the sampled bound
+    values. In expectation over the rival draw the delta equals the
+    full-batch data gradient restricted to the batch; the L2 term is not
+    included. With num_sampled = K - 1 the draw is degenerate and the delta
+    is the exact batch gradient. Raises ConfigError unless the model and
+    the data have the same K and D and ``rows`` is a non-empty 1-D integer
+    array of positions in ``data``.
     """
-    if not batch:
-        raise ConfigError("batch must be non-empty")
+    _check_shapes(model, data)
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or rows.size == 0 or rows.dtype.kind not in "iu":
+        raise ConfigError("rows must be a non-empty 1-D integer array")
+    if rows.min() < 0 or rows.max() >= len(data):
+        raise ConfigError(f"rows must lie in [0, {len(data)})")
+    mat, labels = data.to_csr()
+    labels = labels[rows]
     num_classes = model.num_classes
-    labels = np.array([label for _, label in batch], dtype=np.int64)
-    if labels.min() < 0 or labels.max() >= num_classes:
-        raise ConfigError("batch label out of range")
-    indptr = np.cumsum([0] + [vec.indices.size for vec, _ in batch])
-    indices = np.concatenate([vec.indices for vec, _ in batch])
-    data = np.concatenate([vec.values for vec, _ in batch])
-    _check_arrays(indptr, indices, data, labels, model.num_features, num_classes)
     rivals = sample_rival_classes(rng, labels, num_classes=num_classes, num_sampled=num_sampled)
     classes = np.column_stack((labels, rivals))
     scale_factor = (num_classes - 1) / num_sampled
-    delta, rise = _sgd_step(
-        *_gather(indptr, indices, data, np.arange(labels.size), classes, model.num_features),
-        classes, np.ascontiguousarray(model.weights).reshape(-1), 1.0, model.biases,
-        scale_factor, labels.size,
+    ptr, owner, slots, values = _gather(
+        mat.indptr, mat.indices, mat.data, rows, classes, model.num_features
     )
-    return delta, _bound_estimate(rise, scale_factor)
+    coeffs, rise = _sgd_step(
+        ptr, owner, slots, values, classes, np.ascontiguousarray(model.weights).reshape(-1),
+        1.0, model.biases, scale_factor, rows.size,
+    )
+    return SparseDelta(classes, coeffs, owner, slots, values), _bound_estimate(rise, scale_factor)
 
 
 @dataclass
@@ -394,20 +400,21 @@ def train(
             # row what the steps one at a time would, in the same order
             i0, i1 = j0 * b, min(j1 * b, m)
             z0, z1 = plan.ptr[i0], plan.ptr[i1]
-            delta, rise = _sgd_step(
-                plan.ptr[i0 : i1 + 1] - z0, plan.owner[z0:z1] - i0, plan.slots[z0:z1],
-                plan.values[z0:z1], plan.classes[i0:i1], flat_values, g_at[i0:i1],
-                biases, scale_factor, b,
+            owner, slots = plan.owner[z0:z1] - i0, plan.slots[z0:z1]
+            feats, classes = plan.values[z0:z1], plan.classes[i0:i1]
+            coeffs, rise = _sgd_step(
+                plan.ptr[i0 : i1 + 1] - z0, owner, slots, feats, classes, flat_values,
+                g_at[i0:i1], biases, scale_factor, b,
             )
             # an overflowing update shows as a non-finite score or
             # parameter later, reported as NumericalError
             with np.errstate(over="ignore", invalid="ignore"):
                 # np.add.at, not a fancy-index +=, so that instances
                 # sharing a (class, feature) pair all land
-                steps = lr * delta.coeffs
-                row_steps = (steps / g_at[i0 + b : i1 + b])[delta.owner]
-                np.add.at(flat_values, delta.slots, row_steps * delta.values[:, None])
-                np.add.at(biases, delta.classes, steps)
+                steps = lr * coeffs
+                row_steps = (steps / g_at[i0 + b : i1 + b])[owner]
+                np.add.at(flat_values, slots, row_steps * feats[:, None])
+                np.add.at(biases, classes, steps)
 
             if probe is not None:
                 for j in range(j0, j1):

@@ -2,7 +2,7 @@
 
 import tracemalloc
 
-from softmax_bounds.datasets import SparseDataset, SparseVector
+from softmax_bounds.datasets import SparseDataset
 
 
 def dense_dataset(rng, n, num_classes, num_features, density=0.6):
@@ -11,14 +11,6 @@ def dense_dataset(rng, n, num_classes, num_features, density=0.6):
     raw *= rng.random(size=raw.shape) < density
     labels = rng.integers(0, num_classes, size=n)
     return SparseDataset.from_dense(raw, labels, num_classes)
-
-
-def rows_of(data):
-    """The dataset's instances as (SparseVector, label) pairs, the form the
-    per-instance APIs take."""
-    mat, labels = data.to_csr()
-    bounds = zip(mat.indptr[:-1], mat.indptr[1:], labels)
-    return [(SparseVector(mat.indices[a:b], mat.data[a:b]), int(y)) for a, b, y in bounds]
 
 
 def record_sampler_calls(monkeypatch, module):

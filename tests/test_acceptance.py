@@ -54,7 +54,7 @@ from softmax_bounds.nonparam import (
 from softmax_bounds.rng import substream
 from softmax_bounds.trainer import fit_full_batch, stochastic_gradient, train
 
-from helpers import dense_dataset, rows_of
+from helpers import dense_dataset
 
 
 def report(n: int, detail: str) -> None:
@@ -321,9 +321,9 @@ def test_7_stochastic_gradient_unbiasedness():
     reps = 10_000
     acc_w, acc_b = np.zeros((k, d)), np.zeros(k)
     sq_w, sq_b = np.zeros((k, d)), np.zeros(k)
-    batch = rows_of(data)
+    rows = np.arange(n)
     for _ in range(reps):
-        delta, _ = stochastic_gradient(model, batch, 2, draw)
+        delta, _ = stochastic_gradient(model, data, rows, 2, draw)
         dw, db = delta.to_dense(k, d)
         acc_w += dw
         acc_b += db

@@ -436,7 +436,8 @@ def old_softmax_rows(f):
 
 
 def old_softmax(f):
-    """bounds.softmax, predict_proba, nonparam._pad_result and ove_sgd_fit."""
+    """bounds.softmax, the former one-instance probabilities of linear_model,
+    nonparam._pad_result and ove_sgd_fit."""
     with np.errstate(over="ignore"):
         e = np.exp(f - f.max())
         return e / e.sum()

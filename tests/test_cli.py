@@ -748,6 +748,30 @@ def test_negative_seed_exits_2_on_every_command(argv, toy_files, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("flag, value, least", [
+    ("--num-classes", "1", 2),
+    ("--num-classes", "0", 2),
+    ("--num-classes", "-5", 2),
+    ("--num-features", "0", 1),
+    ("--num-features", "-1", 1),
+])
+def test_count_below_minimum_exits_2(command, flag, value, least, tmp_path, capsys):
+    # every label is 1, so --num-classes 1 fits the file; an inferred count
+    # would be raised to 2 classes, but an explicit one is taken as given
+    data = tmp_path / "d.txt"
+    data.write_text("1 1:1.0\n1 2:0.5\n1 1:2.0\n")
+    argv = {
+        "train": ["train", "--train", str(data), "--objective", "soft"],
+        "compare": ["compare", "--reference", "a=a.bin", "--candidate", "b=b.bin",
+                    "--test", str(data)],
+    }[command]
+    out = tmp_path / "run"
+    assert cli.main(argv + [flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {flag} must be at least {least}, got {value}\n"
+    assert not out.exists()
+
+
 class TestManifest:
     def test_precomputed_digest_must_be_full_scope(self, tmp_path):
         manifest = RunManifest(command=["train"])

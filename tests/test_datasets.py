@@ -15,7 +15,6 @@ from softmax_bounds.datasets import (
     DatasetFormatError,
     ReduceReport,
     SparseDataset,
-    SparseVector,
     gen_powerlaw_categorical,
     gen_toy_5class,
     load_sparse,
@@ -24,25 +23,6 @@ from softmax_bounds.datasets import (
     write_sparse,
 )
 from softmax_bounds.rng import substream
-
-
-class TestSparseVector:
-    def test_dense_round_trip(self):
-        dense = np.array([0.0, 1.5, 0.0, -2.0, 0.0])
-        v = SparseVector.from_dense(dense)
-        np.testing.assert_array_equal(v.indices, [1, 3])
-        np.testing.assert_array_equal(v.to_dense(5), dense)
-
-    def test_validate(self):
-        SparseVector(np.array([0, 2]), np.array([1.0, 2.0])).validate(3)
-        with pytest.raises(ValueError):
-            SparseVector(np.array([2, 0]), np.array([1.0, 2.0])).validate()
-        with pytest.raises(ValueError):
-            SparseVector(np.array([0, 0]), np.array([1.0, 2.0])).validate()
-        with pytest.raises(ValueError):
-            SparseVector(np.array([0]), np.array([np.nan])).validate()
-        with pytest.raises(ValueError):
-            SparseVector(np.array([0, 5]), np.array([1.0, 1.0])).validate(3)
 
 
 class TestLoadSparse:
@@ -120,7 +100,8 @@ class TestLoadSparse:
 
     @pytest.mark.parametrize(
         "meta",
-        ['{"K": 3,', '{"K": "3"}', '{"K": -1}', '{"D": 2.5}', '{"D": true}', '{"K": [3]}', "[3, 2]"],
+        ['{"K": 3,', '{"K": "3"}', '{"K": -1}', '{"K": 1}', '{"D": 2.5}', '{"D": true}',
+         '{"K": [3]}', "[3, 2]"],
     )
     def test_malformed_sidecar_rejected(self, tmp_path, meta):
         p = tmp_path / "d.txt"
@@ -135,12 +116,25 @@ class TestLoadSparse:
         ds = load_sparse(str(p), num_classes=4, num_features=9)
         assert ds.num_classes == 4
         assert ds.num_features == 9
-
-    def test_unknown_format(self, tmp_path):
-        p = tmp_path / "d.txt"
-        p.write_text("1 1:1\n")
-        with pytest.raises(ValueError, match="format"):
-            load_sparse(str(p), format="csv")
+        # an explicit count wins over the sidecar's, each on its own
+        (tmp_path / "d.txt.meta.json").write_text('{"K": 10, "D": 50}')
+        ds = load_sparse(str(p), num_classes=2)
+        assert (ds.num_classes, ds.num_features) == (2, 50)
+        ds = load_sparse(str(p), num_features=1)
+        assert (ds.num_classes, ds.num_features) == (10, 1)
+        # only inferred counts are raised to 2 classes and 1 feature; an
+        # explicit count below that is refused before the file is read
+        (tmp_path / "d.txt.meta.json").unlink()
+        ds = load_sparse(str(p))
+        assert (ds.num_classes, ds.num_features) == (2, 1)
+        for counts in ({"num_classes": 1}, {"num_classes": 0}, {"num_classes": -5},
+                       {"num_features": 0}, {"num_features": -1}):
+            with pytest.raises(ConfigError, match="num_classes >= 2 and num_features >= 1"):
+                load_sparse(str(p), **counts)
+            with pytest.raises(ConfigError, match="num_classes >= 2 and num_features >= 1"):
+                reduce_multilabel(str(p), **counts)
+            with pytest.raises(ConfigError):
+                load_sparse(str(tmp_path / "missing.txt"), **counts)
 
     def test_round_trip_identity(self, tmp_path):
         rng = substream(13, "roundtrip")
@@ -238,11 +232,11 @@ class TestLoadSparse:
 
     def test_declared_bounds_name_the_line(self, tmp_path):
         p = tmp_path / "d.txt"
-        p.write_text("1 1:1\n2 9:1\n")
+        p.write_text("1 1:1\n3 9:1\n")
         with pytest.raises(DatasetFormatError, match="line 2: feature index out of range"):
             load_sparse(str(p), num_features=8)
         with pytest.raises(DatasetFormatError, match="line 2: label exceeds"):
-            load_sparse(str(p), num_classes=1)
+            load_sparse(str(p), num_classes=2)
 
 
 def csr_arrays(**changes):

@@ -18,7 +18,7 @@ from softmax_bounds.bounds import (
     _softplus_impl,
 )
 from softmax_bounds.config import NumericalError, TrainConfig
-from softmax_bounds.datasets import SparseDataset, SparseVector
+from softmax_bounds.datasets import SparseDataset
 from softmax_bounds.linear_model import (
     _penalty,
     _score_blocks,
@@ -33,17 +33,14 @@ from softmax_bounds.linear_model import (
     full_gradient,
     optimal_alphas,
     ove_loglik,
-    predict,
-    predict_proba,
     predict_proba_all,
-    scores,
     scores_matrix,
 )
 from softmax_bounds.manifest import sha256_file
 from softmax_bounds.rng import substream
 from softmax_bounds.trainer import train
 
-from helpers import rows_of, traced_peak
+from helpers import traced_peak
 
 
 def make_data(rng, n, d, k, density=0.5):
@@ -56,17 +53,23 @@ def make_model(rng, k, d, scale=1.0):
     return LinearModel(rng.normal(scale=scale, size=(k, d)), rng.normal(size=k))
 
 
+def one_row(indices, values, num_features, num_classes=2):
+    """A one-row dataset, the form in which a single instance is scored."""
+    indices = np.array(indices, dtype=np.int64)
+    return SparseDataset([0, indices.size], indices, values, [0], num_features, num_classes)
+
+
 class TestScores:
     def test_zero_model(self):
         m = LinearModel.zeros(4, 6)
-        x = SparseVector(np.array([1, 3]), np.array([2.0, -1.0]))
-        np.testing.assert_array_equal(scores(m, x), np.zeros(4))
+        x = one_row([1, 3], [2.0, -1.0], 6, 4)
+        np.testing.assert_array_equal(scores_matrix(m, x), np.zeros((1, 4)))
 
     def test_one_hot_picks_column(self):
         rng = substream(1, "scores")
         m = make_model(rng, 5, 8)
-        x = SparseVector(np.array([3]), np.array([1.0]))
-        np.testing.assert_allclose(scores(m, x), m.weights[:, 3] + m.biases)
+        x = one_row([3], [1.0], 8, 5)
+        np.testing.assert_allclose(scores_matrix(m, x), [m.weights[:, 3] + m.biases])
 
     def test_matches_dense_oracle(self):
         rng = substream(2, "scores")
@@ -75,8 +78,6 @@ class TestScores:
         f = scores_matrix(m, data)
         expected = dense @ m.weights.T + m.biases
         np.testing.assert_allclose(f, expected, rtol=1e-12, atol=1e-12)
-        for i, (x, _) in enumerate(rows_of(data)):
-            np.testing.assert_allclose(scores(m, x), expected[i], rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("k", [40, 10])
     def test_matches_one_product(self, k):
@@ -91,25 +92,24 @@ class TestScores:
 
     def test_dimension_mismatch(self):
         m = LinearModel.zeros(3, 4)
-        x = SparseVector(np.array([7]), np.array([1.0]))
-        with pytest.raises(ValueError, match="out of range"):
-            scores(m, x)
+        x = one_row([7], [1.0], 8, 3)
+        with pytest.raises(ValueError, match="8 features, model has 4"):
+            scores_matrix(m, x)
+        with pytest.raises(ValueError, match="8 features, model has 4"):
+            predict_proba_all(m, x)
 
     @pytest.mark.parametrize("index", [-1, 4])
-    @pytest.mark.parametrize("api", [scores, predict, predict_proba])
-    def test_feature_index_out_of_range(self, api, index):
-        # index -1 would read the last feature's column, and predict would
-        # return a class
-        m = LinearModel.zeros(3, 4)
-        x = SparseVector(np.array([index]), np.array([1.0]))
+    def test_feature_index_out_of_range(self, index):
+        # index -1 would read the last feature's column; a row holding it
+        # is refused when its dataset is built, so it is never scored
         with pytest.raises(ValueError, match="row 0: feature index out of range for 4"):
-            api(m, x)
+            one_row([index], [1.0], 4, 3)
 
     def test_empty_row(self):
         rng = substream(3, "scores")
         m = make_model(rng, 3, 4)
-        x = SparseVector(np.array([], dtype=np.int64), np.array([]))
-        np.testing.assert_array_equal(scores(m, x), m.biases)
+        x = one_row([], [], 4, 3)
+        np.testing.assert_array_equal(scores_matrix(m, x), [m.biases])
 
 
 class TestLogliks:
@@ -163,10 +163,9 @@ class TestLogliks:
 
         rng = substream(8, "ll")
         m = make_model(rng, 5, 6)
-        data, _, _ = make_data(rng, 12, 6, 5)
-        expected = sum(
-            ove_log_bound(scores(m, x), y) for x, y in rows_of(data)
-        )
+        data, dense, labels = make_data(rng, 12, 6, 5)
+        f = dense @ m.weights.T + m.biases
+        expected = sum(ove_log_bound(f_n, y) for f_n, y in zip(f, labels))
         assert ove_loglik(m, data, 0.0) == pytest.approx(expected, rel=1e-12)
 
     def test_bouchard_zero_model(self):
@@ -270,11 +269,10 @@ class TestGradients:
     def test_ove_zero_model_hand_value(self):
         # zero model, one instance: every rival weight is sigmoid(0) = 1/2,
         # so row y gets +(K-1)/2 * x and each rival row gets -x/2
-        x = SparseVector(np.array([0, 2]), np.array([1.0, 2.0]))
-        data = SparseDataset.from_dense([x.to_dense(3)], [1], 4)
+        dense_x = np.array([1.0, 0.0, 2.0])
+        data = SparseDataset.from_dense([dense_x], [1], 4)
         m = LinearModel.zeros(4, 3)
         gw, gb = full_gradient(m, data, Objective(KIND_OVE, 0.0))
-        dense_x = x.to_dense(3)
         np.testing.assert_allclose(gw[1], 1.5 * dense_x)
         for rival in (0, 2, 3):
             np.testing.assert_allclose(gw[rival], -0.5 * dense_x)
@@ -326,11 +324,14 @@ class TestConcavity:
 
 class TestPredict:
     def test_argmax_and_tie_break(self):
+        # a prediction is the argmax of a predict_proba_all row
         m = LinearModel(np.array([[3.0], [1.0], [0.0]]), np.zeros(3))
-        x = SparseVector(np.array([0]), np.array([1.0]))
-        assert predict(m, x) == 0
+        x = one_row([0], [1.0], 1, 3)
+        assert np.argmax(predict_proba_all(m, x), axis=1).tolist() == [0]
         zero = LinearModel.zeros(4, 1)
-        assert predict(zero, x) == 0  # tie: lowest index wins
+        probs = predict_proba_all(zero, x)
+        assert probs.tolist() == [[0.25] * 4]  # an exact tie: the lowest index wins
+        assert np.argmax(probs, axis=1).tolist() == [0]
 
     def test_shift_invariance(self):
         rng = substream(15, "pred")
@@ -347,9 +348,10 @@ class TestPredict:
 
         rng = substream(16, "pred")
         m = make_model(rng, 4, 5)
-        x = SparseVector(np.array([1, 4]), np.array([0.3, -2.0]))
+        x = one_row([1, 4], [0.3, -2.0], 5, 4)
+        dense = np.array([0.0, 0.3, 0.0, 0.0, -2.0])
         np.testing.assert_allclose(
-            predict_proba(m, x), softmax(scores(m, x)), rtol=1e-13
+            predict_proba_all(m, x)[0], softmax(m.weights @ dense + m.biases), rtol=1e-13
         )
 
 
@@ -558,18 +560,18 @@ class TestDenseTail:
     def test_overflowed_score_of_one_instance(self):
         # 1e308 * 2.0 overflows inside the dense product of scores
         m = LinearModel(np.array([[1e308], [0.0]]), np.zeros(2))
-        x = SparseVector(np.array([0]), np.array([2.0]))
+        x = one_row([0], [2.0], 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert predict(m, x) == 0
+            assert scores_matrix(m, x).tolist() == [[np.inf, 0.0]]
             with pytest.raises(NumericalError, match="non-finite score"):
-                predict_proba(m, x)
+                predict_proba_all(m, x)
 
     @pytest.mark.parametrize("biases", [[np.inf, 0.0], [np.nan, 0.0], [-np.inf, -np.inf]])
     def test_predict_proba_of_non_finite_top_score_is_numerical_error(self, biases):
         m = LinearModel(np.zeros((2, 1)), np.array(biases))
         with pytest.raises(NumericalError, match="non-finite score"):
-            predict_proba(m, SparseVector(np.array([0]), np.array([1.0])))
+            predict_proba_all(m, one_row([0], [1.0], 1))
 
     def test_margin_beyond_float_range_is_finite(self):
         # 2 * 1e308 - 2 * (-1e308) overflows the margin to +inf, whose

@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from softmax_bounds.datasets import SparseVector
-from softmax_bounds.linear_model import LinearModel, predict
+from softmax_bounds.datasets import SparseDataset
+from softmax_bounds.linear_model import LinearModel, scores_matrix
 from softmax_bounds.metrics import (
     MethodReport,
     error_rate,
@@ -52,9 +52,12 @@ class TestGaugeFix:
         rng = substream(3, "gf")
         m = random_model(rng)
         g = gauge_fix(m)
-        for _ in range(20):
-            x = SparseVector.from_dense(rng.normal(size=m.num_features))
-            assert predict(m, x) == predict(g, x)
+        data = SparseDataset.from_dense(
+            rng.normal(size=(20, m.num_features)), np.zeros(20, dtype=np.int64), m.num_classes
+        )
+        np.testing.assert_array_equal(
+            np.argmax(scores_matrix(m, data), axis=1), np.argmax(scores_matrix(g, data), axis=1)
+        )
 
 
 class TestParamNorm:

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from softmax_bounds import nonparam, trainer
 from softmax_bounds.bounds import ConvergenceError, _log_sigmoid_impl, _sigmoid_impl
 from softmax_bounds.config import ConfigError, NumericalError, OptimizerSettings, TrainConfig
-from softmax_bounds.datasets import SparseDataset, SparseVector, gen_toy_5class, load_sparse
+from softmax_bounds.datasets import SparseDataset, gen_toy_5class, load_sparse
 from softmax_bounds.linear_model import (
     KIND_BOUCHARD,
     KIND_EXACT,
@@ -23,7 +23,6 @@ from softmax_bounds.linear_model import (
     full_gradient,
     optimal_alphas,
     ove_loglik,
-    predict,
 )
 from softmax_bounds.nonparam import sample_rival_classes
 from softmax_bounds.rng import substream
@@ -36,7 +35,7 @@ from softmax_bounds.trainer import (
     train,
 )
 
-from helpers import dense_dataset, record_sampler_calls, rows_of
+from helpers import dense_dataset, record_sampler_calls
 
 PERFBENCH_GEN = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
 
@@ -73,8 +72,7 @@ class TestStochasticGradient:
         model = LinearModel(
             weights=rng.normal(size=(5, 4)) * 0.3, biases=rng.normal(size=5) * 0.3
         )
-        batch = rows_of(data)
-        delta, _ = stochastic_gradient(model, batch, 4, substream(3, "draw"))
+        delta, _ = stochastic_gradient(model, data, np.arange(6), 4, substream(3, "draw"))
         dw, db = delta.to_dense(5, 4)
         gw, gb = full_gradient(model, data, Objective(kind=KIND_OVE, lam=0.0))
         np.testing.assert_allclose(dw, gw, atol=1e-12)
@@ -85,14 +83,14 @@ class TestStochasticGradient:
         # (K-1)/2 * x and the one sampled rival loses the same
         k = 7
         x = np.array([0.5, -2.0, 1.25])
-        vec = SparseVector.from_dense(x)
-        model = LinearModel.zeros(k, 3)
         label = 2
+        data = SparseDataset.from_dense([x], [label], k)
+        model = LinearModel.zeros(k, 3)
         seed_rng = substream(9, "draw")
         expected_rival = sample_rival_classes(
             substream(9, "draw"), np.array([label]), num_classes=k, num_sampled=1
         )[0][0]
-        delta, bound = stochastic_gradient(model, [(vec, label)], 1, seed_rng)
+        delta, bound = stochastic_gradient(model, data, np.array([0]), 1, seed_rng)
         dw, db = delta.to_dense(k, 3)
         expected = np.zeros((k, 3))
         expected[label] = (k - 1) * 0.5 * x
@@ -111,7 +109,7 @@ class TestStochasticGradient:
         expected_rivals = sample_rival_classes(
             substream(4, "draw"), labels, num_classes=12, num_sampled=2
         )
-        delta, _ = stochastic_gradient(model, rows_of(data), 2, draw)
+        delta, _ = stochastic_gradient(model, data, np.arange(3), 2, draw)
         allowed = set(labels.tolist()) | set(expected_rivals.ravel().tolist())
         assert set(np.unique(delta.classes).tolist()) <= allowed
 
@@ -129,9 +127,9 @@ class TestStochasticGradient:
         acc_b = np.zeros(k)
         sq_w = np.zeros((k, d))
         sq_b = np.zeros(k)
-        batch = rows_of(data)
+        rows = np.arange(n)
         for _ in range(reps):
-            delta, _ = stochastic_gradient(model, batch, 2, draw)
+            delta, _ = stochastic_gradient(model, data, rows, 2, draw)
             dw, db = delta.to_dense(k, d)
             acc_w += dw
             acc_b += db
@@ -145,24 +143,40 @@ class TestStochasticGradient:
 
     def test_rejects_bad_input(self):
         model = LinearModel.zeros(4, 2)
+        data = SparseDataset.from_dense([[1.0, 0.0], [0.0, 2.0]], [0, 3], 4)
         rng = substream(0, "draw")
+        bad_rows = (
+            np.array([], dtype=np.int64),  # empty
+            np.array([[0, 1]]),  # 2-D
+            np.array([0.0, 1.0]),  # float
+            np.array([0, -1]),  # out of range, either side
+            np.array([2, 0]),
+        )
+        for rows in bad_rows:
+            with pytest.raises(ConfigError, match="rows must"):
+                stochastic_gradient(model, data, rows, 1, rng)
+        good = np.array([1, 0])
         with pytest.raises(ConfigError):
-            stochastic_gradient(model, [], 1, rng)
-        vec = SparseVector.from_dense(np.array([1.0, 0.0]))
-        with pytest.raises(ConfigError):
-            stochastic_gradient(model, [(vec, 4)], 1, rng)
-        with pytest.raises(ConfigError):
-            stochastic_gradient(model, [(vec, 0)], 4, rng)
+            stochastic_gradient(model, data, good, 4, rng)
+        for other in (LinearModel.zeros(5, 2), LinearModel.zeros(4, 3)):
+            with pytest.raises(ConfigError, match="but data is 4 x 2"):
+                stochastic_gradient(other, data, good, 1, rng)
+        delta, _ = stochastic_gradient(model, data, good, 1, rng)
+        assert delta.classes[:, 0].tolist() == [3, 0]
 
     @pytest.mark.parametrize("index", [-1, 2, 3])
     def test_rejects_feature_out_of_range(self, index):
         # index -1 would alias the last weight of W and 2 the next class's
-        # row; the error names the instance within the batch
+        # row. A 2-feature dataset refuses the row, naming it, and a dataset
+        # wide enough to hold the index does not match a 2-feature model
         model = LinearModel.zeros(4, 2)
-        good = SparseVector.from_dense(np.array([1.0, 0.0]))
-        bad = SparseVector(np.array([index]), np.array([1.0]))
+        arrays = [0, 1, 2], [0, index], [1.0, 1.0], [0, 1]
         with pytest.raises(ValueError, match="row 1: feature index out of range for 2"):
-            stochastic_gradient(model, [(good, 0), (bad, 1)], 1, substream(0, "draw"))
+            SparseDataset(*arrays, 2, 4)
+        if index >= 0:
+            wide = SparseDataset(*arrays, index + 1, 4)
+            with pytest.raises(ConfigError, match=f"model is 4 x 2 but data is 4 x {index + 1}"):
+                stochastic_gradient(model, wide, np.array([0, 1]), 1, substream(0, "draw"))
 
 
 class TestTrain:
@@ -432,10 +446,7 @@ class TestStepKernel:
                             biases=rng.normal(size=k) * 0.1)
         seed = 8
         got, order = self.one_step(data, model, seed, lr=1.0)
-        rows = rows_of(data)
-        delta, _ = stochastic_gradient(
-            model, [rows[i] for i in order], 2, substream(seed, "classes")
-        )
+        delta, _ = stochastic_gradient(model, data, order, 2, substream(seed, "classes"))
         dw, db = delta.to_dense(k, d)
         np.testing.assert_allclose(got.weights, model.weights + dw, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(got.biases, model.biases + db, rtol=1e-12, atol=1e-15)
