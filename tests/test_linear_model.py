@@ -99,11 +99,23 @@ class TestScores:
             predict_proba_all(m, x)
 
     @pytest.mark.parametrize("index", [-1, 4])
-    def test_feature_index_out_of_range(self, index):
-        # index -1 would read the last feature's column; a row holding it
-        # is refused when its dataset is built, so it is never scored
+    @pytest.mark.parametrize(
+        "api",
+        [
+            pytest.param(scores_matrix, id="scores"),
+            pytest.param(
+                lambda m, x: np.argmax(predict_proba_all(m, x), axis=1), id="predict"
+            ),
+            pytest.param(predict_proba_all, id="predict_proba"),
+        ],
+    )
+    def test_feature_index_out_of_range(self, api, index):
+        # index -1 would read the last feature's column, and the argmax would
+        # return a class; a row holding it is refused when its one-row
+        # dataset is built, so no scoring path sees it
+        m = LinearModel.zeros(3, 4)
         with pytest.raises(ValueError, match="row 0: feature index out of range for 4"):
-            one_row([index], [1.0], 4, 3)
+            api(m, one_row([index], [1.0], 4, 3))
 
     def test_empty_row(self):
         rng = substream(3, "scores")
