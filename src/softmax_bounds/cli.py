@@ -13,6 +13,7 @@ Three subcommands:
 
 Every command writes a ``manifest.json`` listing input hashes, output
 hashes, and the configuration, so reruns can be verified byte for byte.
+It removes any earlier manifest in ``--out`` before its first write there.
 Set ``SOFTMAX_BOUNDS_THREADS`` to pin the BLAS/OpenMP thread count; it
 must take effect before numpy first loads, which is why this module
 imports the numerical stack lazily. It does not cover the one helper
@@ -163,6 +164,20 @@ def _train_config(args, **extra):
     )
 
 
+def _prepare_out(out: str) -> None:
+    """Create ``out`` and remove any ``manifest.json`` in it.
+
+    Each command calls this before its first write into ``out``, so a
+    command that fails part way leaves no manifest that lists files it
+    has since overwritten.
+    """
+    os.makedirs(out, exist_ok=True)
+    try:
+        os.remove(os.path.join(out, "manifest.json"))
+    except FileNotFoundError:
+        pass
+
+
 def _write_value_trace(path, rows) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("iteration,value\n")
@@ -203,7 +218,7 @@ def _cmd_estimate(args) -> int:
             )
         labels = data.labels()
         manifest.add_dataset(args.labels)
-        num_classes = args.K if args.K is not None else int(labels.max()) + 1
+        num_classes = args.K if args.K is not None else data.num_classes
         _refuse_oversize(num_classes, f"a {num_classes}-class count vector", args.labels,
                          DatasetFormatError)
     else:
@@ -231,7 +246,7 @@ def _cmd_estimate(args) -> int:
         trace_rows = result.objective_trace
         manifest.config = {"method": args.method, "counts": counts.counts.tolist()}
 
-    os.makedirs(args.out, exist_ok=True)
+    _prepare_out(args.out)
     probs_path = os.path.join(args.out, "probs.json")
     with open(probs_path, "w", encoding="utf-8") as fh:
         json.dump(result.to_json_dict(), fh, indent=2)
@@ -297,7 +312,7 @@ def _cmd_train(args) -> int:
         Objective,
         ove_loglik,
     )
-    from softmax_bounds.manifest import SCOPE_NO_ELAPSED, RunManifest
+    from softmax_bounds.manifest import SCOPE_FULL, SCOPE_NO_ELAPSED, RunManifest
     from softmax_bounds.metrics import MethodReport
     from softmax_bounds.trainer import fit_full_batch, train
 
@@ -316,7 +331,7 @@ def _cmd_train(args) -> int:
         eval_data, eval_split = train_data, "train"
 
     model0 = LinearModel.zeros(train_data.num_classes, train_data.num_features)
-    os.makedirs(args.out, exist_ok=True)
+    _prepare_out(args.out)
     trace_path = os.path.join(args.out, "trace.csv")
 
     if args.objective == "ove-sgd":
@@ -334,7 +349,7 @@ def _cmd_train(args) -> int:
         }[args.objective]
         fitted, rows = fit_full_batch(model0, train_data, Objective(kind=kind, lam=args.lam))
         _write_value_trace(trace_path, rows)
-        trace_scope = None
+        trace_scope = SCOPE_FULL
         bound_final = rows[-1][1]
         manifest.config = {"objective": args.objective, "lam": args.lam}
 
@@ -359,10 +374,7 @@ def _cmd_train(args) -> int:
         json.dump({"eval_split": eval_split, "report": report.to_json_dict()}, fh, indent=2)
         fh.write("\n")
 
-    if trace_scope is None:
-        manifest.add_output(trace_path)
-    else:
-        manifest.add_output(trace_path, scope=trace_scope)
+    manifest.add_output(trace_path, scope=trace_scope)
     manifest.add_output(ckpt_path, sha256=ckpt_sha256)
     manifest.add_output(report_path)
     manifest.timings["wall_s"] = time.perf_counter() - t0
@@ -423,7 +435,7 @@ def _cmd_compare(args) -> int:
         error, mean_nlpd = _evaluate(model, test_data)
         reports.append(MethodReport(method=name, error=error, nlpd=mean_nlpd, norm=norm))
 
-    os.makedirs(args.out, exist_ok=True)
+    _prepare_out(args.out)
     csv_path = os.path.join(args.out, "reports.csv")
     json_path = os.path.join(args.out, "reports.json")
     write_report_csv(reports, csv_path)

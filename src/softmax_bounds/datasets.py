@@ -1,4 +1,4 @@
-"""Sparse dataset ingestion and the synthetic generators for the experiments.
+"""Sparse dataset ingestion and the synthetic label generator for the experiments.
 
 On-disk format is libsvm-like text: one instance per line,
 
@@ -6,7 +6,7 @@ On-disk format is libsvm-like text: one instance per line,
 
 with 1-based labels and 1-based, strictly increasing feature indices. In
 memory everything is 0-based (labels included) so arrays index naturally;
-the loaders and writers translate at the boundary.
+the loaders translate at the boundary.
 
 In memory a dataset is one CSR matrix plus a label array: row i holds the
 feature indices ``indices[indptr[i]:indptr[i + 1]]`` and the values at the
@@ -40,10 +40,8 @@ __all__ = [
     "SparseDataset",
     "ReduceReport",
     "load_sparse",
-    "write_sparse",
     "reduce_multilabel",
     "unify_pair",
-    "gen_toy_5class",
     "gen_powerlaw_categorical",
 ]
 
@@ -117,9 +115,7 @@ class SparseDataset:
     out the stored objects without copying.
     """
 
-    def __init__(
-        self, indptr, indices, values, labels, num_features: int, num_classes: int, name: str = ""
-    ):
+    def __init__(self, indptr, indices, values, labels, num_features: int, num_classes: int):
         from scipy.sparse import csr_matrix
 
         indptr, indices, labels = np.asarray(indptr), np.asarray(indices), np.asarray(labels)
@@ -127,7 +123,6 @@ class SparseDataset:
         _check_arrays(indptr, indices, values, labels, num_features, num_classes)
         self.num_features = int(num_features)
         self.num_classes = int(num_classes)
-        self.name = name
         mat = csr_matrix((values, indices, indptr), shape=(labels.size, self.num_features))
         mat.indptr, mat.indices, mat.data = map(_frozen, (mat.indptr, mat.indices, mat.data))
         self._csr = mat
@@ -139,24 +134,16 @@ class SparseDataset:
     def labels(self) -> np.ndarray:
         return self._labels
 
-    def validate(self) -> None:
-        mat = self._csr
-        _check_arrays(
-            mat.indptr, mat.indices, mat.data, self._labels, self.num_features, self.num_classes
-        )
-
     def to_csr(self):
         """Features as a scipy CSR matrix plus the label vector (both stored)."""
         return self._csr, self._labels
 
     @classmethod
-    def from_dense(
-        cls, features, labels, num_classes: int, name: str = ""
-    ) -> "SparseDataset":
+    def from_dense(cls, features, labels, num_classes: int) -> "SparseDataset":
         from scipy.sparse import csr_matrix
 
         mat = csr_matrix(np.asarray(features, dtype=np.float64))
-        return cls(mat.indptr, mat.indices, mat.data, labels, mat.shape[1], num_classes, name)
+        return cls(mat.indptr, mat.indices, mat.data, labels, mat.shape[1], num_classes)
 
 
 @dataclass
@@ -294,10 +281,7 @@ def _load(path: str, multilabel: bool, num_classes: int | None, num_features: in
     fault = _fault(indptr, indices, values, y, num_features, num_classes)
     if fault is not None:
         raise DatasetFormatError(f"line {linenos[fault[0]]}: {fault[1]}")
-    dataset = SparseDataset(
-        indptr, indices, values, y, num_features, num_classes, os.path.basename(path)
-    )
-    return dataset, dropped
+    return SparseDataset(indptr, indices, values, y, num_features, num_classes), dropped
 
 
 def load_sparse(
@@ -313,25 +297,6 @@ def load_sparse(
     below 2 classes or 1 feature raise ConfigError.
     """
     return _load(path, False, num_classes, num_features)[0]
-
-
-def write_sparse(dataset: SparseDataset, path: str, sidecar: bool = False) -> None:
-    """Write a dataset in the libsvm-like format (1-based on disk).
-
-    Values are formatted with repr, so write -> load round-trips exactly.
-    With ``sidecar=True`` a ``<path>.meta.json`` pinning K and D is written
-    alongside (otherwise a reload infers both as observed maxima).
-    """
-    mat, labels = dataset.to_csr()
-    pairs = list(map("{}:{!r}".format, (mat.indices + 1).tolist(), mat.data.tolist()))
-    bounds = zip(mat.indptr[:-1].tolist(), mat.indptr[1:].tolist(), (labels + 1).tolist())
-    with open(path, "w") as fh:
-        for start, end, label in bounds:
-            fh.write(" ".join([str(label), *pairs[start:end]]) + "\n")
-    if sidecar:
-        with open(path + ".meta.json", "w") as fh:
-            json.dump({"K": dataset.num_classes, "D": dataset.num_features}, fh)
-            fh.write("\n")
 
 
 def reduce_multilabel(
@@ -360,31 +325,8 @@ def unify_pair(train: SparseDataset, test: SparseDataset) -> tuple[SparseDataset
     out = []
     for ds in (train, test):
         mat, labels = ds.to_csr()
-        out.append(SparseDataset(mat.indptr, mat.indices, mat.data, labels, d, k, ds.name))
+        out.append(SparseDataset(mat.indptr, mat.indices, mat.data, labels, d, k))
     return out[0], out[1]
-
-
-def gen_toy_5class(n: int, seed: int) -> SparseDataset:
-    """Two-dimensional 5-class Gaussian mixture.
-
-    Class means sit on a circle of radius 3 at angles 2*pi*k/5, unit
-    covariance, classes as balanced as n allows (n % 5 spilled over the
-    first classes). Geometry is an artifact choice, fixed for
-    reproducibility. Deterministic given seed. Every row stores both
-    coordinates.
-    """
-    if n < 5:
-        raise ValueError(f"need n >= 5, got {n}")
-    rng = substream(seed, "toy-data")
-    per = [n // 5 + (1 if k < n % 5 else 0) for k in range(5)]
-    points = []
-    for k, count in enumerate(per):
-        angle = 2.0 * np.pi * k / 5.0
-        mean = np.array([3.0 * np.cos(angle), 3.0 * np.sin(angle)])
-        points.append(rng.normal(size=(count, 2)) + mean)
-    indptr, indices = np.arange(0, 2 * n + 1, 2), np.tile([0, 1], n)
-    values, labels = np.concatenate(points).ravel(), np.repeat(np.arange(5), per)
-    return SparseDataset(indptr, indices, values, labels, 2, 5, f"toy5(n={n},seed={seed})")
 
 
 def gen_powerlaw_categorical(

@@ -88,9 +88,6 @@ class TrainTrace:
     def iterations(self) -> list[int]:
         return [r[0] for r in self.rows]
 
-    def bound_estimates(self) -> list[float]:
-        return [r[1] for r in self.rows]
-
     def validate(self) -> None:
         its = self.iterations()
         if any(b <= a for a, b in zip(its, its[1:])):
@@ -128,13 +125,6 @@ class SparseDelta:
     owner: np.ndarray
     slots: np.ndarray
     values: np.ndarray
-
-    def to_dense(self, num_classes: int, num_features: int) -> tuple[np.ndarray, np.ndarray]:
-        grad_w = np.zeros(num_classes * num_features)
-        np.add.at(grad_w, self.slots, self.coeffs[self.owner] * self.values[:, None])
-        grad_b = np.zeros(num_classes)
-        np.add.at(grad_b, self.classes, self.coeffs)
-        return grad_w.reshape(num_classes, num_features), grad_b
 
 
 def _gather(

@@ -25,11 +25,7 @@ from softmax_bounds.bounds import (
     ove_log_bound,
 )
 from softmax_bounds.config import OptimizerSettings, TrainConfig
-from softmax_bounds.datasets import (
-    SparseDataset,
-    gen_powerlaw_categorical,
-    gen_toy_5class,
-)
+from softmax_bounds.datasets import SparseDataset, gen_powerlaw_categorical
 from softmax_bounds.linear_model import (
     KIND_BOUCHARD,
     KIND_EXACT,
@@ -54,7 +50,7 @@ from softmax_bounds.nonparam import (
 from softmax_bounds.rng import substream
 from softmax_bounds.trainer import fit_full_batch, stochastic_gradient, train
 
-from helpers import dense_dataset
+from helpers import dense_dataset, gen_toy_5class, to_dense
 
 
 def report(n: int, detail: str) -> None:
@@ -124,7 +120,7 @@ def test_3_bound_ordering_and_sgd_convergence():
 
     # the trace estimates the per-instance data term with S=1 sampling
     # noise, so hold its trailing window to the Monte Carlo resolution
-    ests = np.array(trace.bound_estimates())
+    ests = np.array([r[1] for r in trace.rows])
     window = len(ests) // 4
     tail = ests[-window:]
     smoothed_tail = smooth_trace(ests, window=window)[-1]
@@ -324,7 +320,7 @@ def test_7_stochastic_gradient_unbiasedness():
     rows = np.arange(n)
     for _ in range(reps):
         delta, _ = stochastic_gradient(model, data, rows, 2, draw)
-        dw, db = delta.to_dense(k, d)
+        dw, db = to_dense(delta, k, d)
         acc_w += dw
         acc_b += db
         sq_w += dw * dw
@@ -409,7 +405,7 @@ def _synthetic_extreme(num_classes, num_features, n):
     values = np.hstack((np.ones((n, 2)), np.take_along_axis(noise_val, order, axis=1)))
     return SparseDataset(
         np.arange(0, 10 * n + 1, 10), indices.ravel(), values.ravel(), y,
-        num_features, num_classes, "synthetic-extreme",
+        num_features, num_classes,
     )
 
 
@@ -455,7 +451,7 @@ def test_9_extreme_scale_sparse_training():
     assert np.isfinite(fitted.weights).all()
     assert np.isfinite(fitted.biases).all()
 
-    ests = np.array(trace.bound_estimates())
+    ests = np.array([r[1] for r in trace.rows])
     smoothed = smooth_trace(ests, window=800)
     final_epoch = smoothed[-(n // cfg.log_every):][::25]
     rises = np.diff(final_epoch)

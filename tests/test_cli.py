@@ -12,9 +12,16 @@ import pytest
 from softmax_bounds import cli
 from softmax_bounds.bounds import _sigmoid_impl
 from softmax_bounds.config import NumericalError
-from softmax_bounds.datasets import gen_toy_5class, write_sparse
 from softmax_bounds.linear_model import _HEADER, LinearModel
-from softmax_bounds.manifest import SCOPE_FULL, RunManifest, sha256_file
+from softmax_bounds.manifest import (
+    SCOPE_FULL,
+    SCOPE_NO_ELAPSED,
+    RunManifest,
+    sha256_csv_without_last_column,
+    sha256_file,
+)
+
+from helpers import gen_toy_5class, write_sparse
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +167,28 @@ class TestEstimate:
         probs = read_json(os.path.join(out, "probs.json"))
         assert probs["num_classes"] == 4
         np.testing.assert_allclose(probs["probs"], [0.5, 0.5, 0.0, 0.0], atol=1e-12)
+
+    def test_labels_take_k_from_the_sidecar(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_text("1\n2\n2\n3\n", encoding="utf-8")
+        (tmp_path / "labels.txt.meta.json").write_text('{"K": 6}', encoding="utf-8")
+        out = str(tmp_path / "run")
+        assert cli.main(["estimate", "--method", "exact", "--labels", str(path),
+                         "--out", out]) == 0
+        probs = read_json(os.path.join(out, "probs.json"))
+        assert probs["num_classes"] == 6
+        np.testing.assert_allclose(probs["probs"], [0.25, 0.5, 0.25, 0, 0, 0], atol=1e-12)
+
+    def test_labels_of_one_class_give_two_classes(self, tmp_path):
+        # as train does, a file that holds only label 1 is a 2-class problem
+        path = tmp_path / "labels.txt"
+        path.write_text("1\n1\n1\n", encoding="utf-8")
+        out = str(tmp_path / "run")
+        assert cli.main(["estimate", "--method", "exact", "--labels", str(path),
+                         "--out", out]) == 0
+        probs = read_json(os.path.join(out, "probs.json"))
+        assert probs["num_classes"] == 2
+        np.testing.assert_allclose(probs["probs"], [1.0, 0.0], atol=1e-12)
 
     def test_counts_k_override_pads_unseen_classes(self, tmp_path):
         out = str(tmp_path / "run")
@@ -777,6 +806,24 @@ class TestManifest:
         manifest = RunManifest(command=["train"])
         with pytest.raises(ValueError, match="precomputed"):
             manifest.add_output(tmp_path / "t.csv", scope="excluding-elapsed-ms", sha256="0" * 64)
+
+    def test_failed_rerun_leaves_no_stale_manifest(self, toy_files, tmp_path, capsys):
+        # the second run overwrites trace.csv and the checkpoint, then
+        # overflows on the test set's extra row
+        train, _ = toy_files
+        test = tmp_path / "test.txt"
+        with open(train, encoding="utf-8") as fh:
+            test.write_text(fh.read() + "1 1:1e308\n", encoding="utf-8")
+        out = str(tmp_path / "run")
+        argv = ["train", "--train", train, "--objective", "soft", "--out", out]
+        assert cli.main(argv + ["--lam", "1e-3"]) == 0
+        assert cli.main(argv + ["--lam", "2e-3", "--test", str(test)]) == 1
+        assert "overflowed" in capsys.readouterr().err
+        path = os.path.join(out, "manifest.json")
+        if os.path.exists(path):
+            hashers = {SCOPE_FULL: sha256_file, SCOPE_NO_ELAPSED: sha256_csv_without_last_column}
+            for entry in read_json(path)["outputs"]:
+                assert hashers[entry["scope"]](entry["path"]) == entry["sha256"]
 
 
 class TestReproducibility:

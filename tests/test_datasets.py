@@ -16,13 +16,13 @@ from softmax_bounds.datasets import (
     ReduceReport,
     SparseDataset,
     gen_powerlaw_categorical,
-    gen_toy_5class,
     load_sparse,
     reduce_multilabel,
     unify_pair,
-    write_sparse,
 )
 from softmax_bounds.rng import substream
+
+from helpers import gen_toy_5class, write_sparse
 
 
 class TestLoadSparse:
@@ -148,7 +148,7 @@ class TestLoadSparse:
         # make every class and the last feature appear so inference is exact
         dense[60, 39], labels[60] = 1.0, 5
         dense[61:, 0], labels[61:] = 1.0, np.arange(5)
-        ds = SparseDataset.from_dense(dense, labels, 6, "fixture")
+        ds = SparseDataset.from_dense(dense, labels, 6)
         path = str(tmp_path / "rt.txt")
         write_sparse(ds, path)
         back = load_sparse(path)
@@ -188,7 +188,10 @@ class TestLoadSparse:
                     msg = str(exc)
                     assert "line" in msg or "no instances" in msg
                 else:
-                    ds.validate()
+                    # the loaded arrays pass the constructor's checks again
+                    mat, y = ds.to_csr()
+                    SparseDataset(mat.indptr, mat.indices, mat.data, y,
+                                  ds.num_features, ds.num_classes)
         finally:
             import os
 
@@ -298,7 +301,7 @@ class TestCsr:
         np.testing.assert_array_equal(y, labels)
 
     def test_built_from_arrays(self):
-        ds = SparseDataset(**csr_arrays(), name="fixture")
+        ds = SparseDataset(**csr_arrays())
         assert len(ds) == 2
         np.testing.assert_array_equal(
             ds.to_csr()[0].toarray(), [[1.0, 0.0, 0.0, -2.0], [0.0, 0.5, 0.0, 0.0]]
@@ -357,8 +360,7 @@ class TestCsr:
 
     def test_index_order_resets_at_row_boundaries(self):
         # the second row starts below where the first ended: that is fine
-        ds = SparseDataset(**csr_arrays(indices=np.array([2, 3, 0])))
-        ds.validate()
+        SparseDataset(**csr_arrays(indices=np.array([2, 3, 0])))
 
 
 class TestReduceMultilabel:

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from softmax_bounds import nonparam, trainer
 from softmax_bounds.bounds import ConvergenceError, _log_sigmoid_impl, _sigmoid_impl
 from softmax_bounds.config import ConfigError, NumericalError, OptimizerSettings, TrainConfig
-from softmax_bounds.datasets import SparseDataset, gen_toy_5class, load_sparse
+from softmax_bounds.datasets import SparseDataset, load_sparse
 from softmax_bounds.linear_model import (
     KIND_BOUCHARD,
     KIND_EXACT,
@@ -35,7 +35,7 @@ from softmax_bounds.trainer import (
     train,
 )
 
-from helpers import dense_dataset, record_sampler_calls
+from helpers import dense_dataset, gen_toy_5class, record_sampler_calls, to_dense
 
 PERFBENCH_GEN = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
 
@@ -73,7 +73,7 @@ class TestStochasticGradient:
             weights=rng.normal(size=(5, 4)) * 0.3, biases=rng.normal(size=5) * 0.3
         )
         delta, _ = stochastic_gradient(model, data, np.arange(6), 4, substream(3, "draw"))
-        dw, db = delta.to_dense(5, 4)
+        dw, db = to_dense(delta, 5, 4)
         gw, gb = full_gradient(model, data, Objective(kind=KIND_OVE, lam=0.0))
         np.testing.assert_allclose(dw, gw, atol=1e-12)
         np.testing.assert_allclose(db, gb, atol=1e-12)
@@ -91,7 +91,7 @@ class TestStochasticGradient:
             substream(9, "draw"), np.array([label]), num_classes=k, num_sampled=1
         )[0][0]
         delta, bound = stochastic_gradient(model, data, np.array([0]), 1, seed_rng)
-        dw, db = delta.to_dense(k, 3)
+        dw, db = to_dense(delta, k, 3)
         expected = np.zeros((k, 3))
         expected[label] = (k - 1) * 0.5 * x
         expected[expected_rival] = -(k - 1) * 0.5 * x
@@ -130,7 +130,7 @@ class TestStochasticGradient:
         rows = np.arange(n)
         for _ in range(reps):
             delta, _ = stochastic_gradient(model, data, rows, 2, draw)
-            dw, db = delta.to_dense(k, d)
+            dw, db = to_dense(delta, k, d)
             acc_w += dw
             acc_b += db
             sq_w += dw * dw
@@ -391,7 +391,7 @@ class TestTrain:
         opt = ove_loglik(toy_ove_fit, toy200, lam=1.0)
         val = ove_loglik(fitted, toy200, lam=1.0)
         assert abs(val - opt) <= 0.02 * abs(opt)
-        ests = np.array(trace.bound_estimates())
+        ests = np.array([r[1] for r in trace.rows])
         tail = ests[-len(ests) // 4 :]
         per_instance_opt = ove_loglik(toy_ove_fit, toy200, lam=0.0) / 200
         se = tail.std() / np.sqrt(len(tail))
@@ -447,7 +447,7 @@ class TestStepKernel:
         seed = 8
         got, order = self.one_step(data, model, seed, lr=1.0)
         delta, _ = stochastic_gradient(model, data, order, 2, substream(seed, "classes"))
-        dw, db = delta.to_dense(k, d)
+        dw, db = to_dense(delta, k, d)
         np.testing.assert_allclose(got.weights, model.weights + dw, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(got.biases, model.biases + db, rtol=1e-12, atol=1e-15)
 
