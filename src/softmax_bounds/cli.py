@@ -13,7 +13,8 @@ Three subcommands:
 
 Every command writes a ``manifest.json`` listing input hashes, output
 hashes, and the configuration, so reruns can be verified byte for byte.
-It removes any earlier manifest in ``--out`` before its first write there.
+Its outputs land in ``--out`` together once it has succeeded, the
+manifest last; a command that fails leaves ``--out`` as it was.
 Set ``SOFTMAX_BOUNDS_THREADS`` to pin the BLAS/OpenMP thread count; it
 must take effect before numpy first loads, which is why this module
 imports the numerical stack lazily. It does not cover the one helper
@@ -23,7 +24,7 @@ thread on which ``train`` writes and hashes the checkpoint.
 from __future__ import annotations
 
 import argparse
-import json
+import contextlib
 import os
 import sys
 import time
@@ -164,18 +165,58 @@ def _train_config(args, **extra):
     )
 
 
-def _prepare_out(out: str) -> None:
-    """Create ``out`` and remove any ``manifest.json`` in it.
+@contextlib.contextmanager
+def _publishing(args):
+    """Yield the command's manifest and ``stage(name, write, scope)``, and
+    publish the staged outputs in ``--out`` all or none.
 
-    Each command calls this before its first write into ``out``, so a
-    command that fails part way leaves no manifest that lists files it
-    has since overwritten.
+    ``stage`` creates ``--out`` and calls ``write`` on ``.<name>.partial``
+    there; a digest that ``write`` returns is the file's full-scope hash.
+    Once the body has succeeded, the files about to be replaced move aside,
+    the old manifest first; each output moves into place and is recorded
+    under its final name, in staging order; and the manifest is staged and
+    moved in last. On any exception the moves are undone and the staged
+    files removed, so ``--out`` is left as it was.
     """
-    os.makedirs(out, exist_ok=True)
+    from softmax_bounds.manifest import SCOPE_FULL, RunManifest
+
+    t0 = time.perf_counter()
+    manifest = RunManifest(command=[args.command] + _args_echo(args),
+                           seed=getattr(args, "seed", None))
+    out, staged, moved = args.out, [], []
+
+    def stage(name, write, scope=SCOPE_FULL):
+        os.makedirs(out, exist_ok=True)
+        entry = [os.path.join(out, f".{name}.partial"), os.path.join(out, name), scope, None]
+        staged.append(entry)
+        entry[3] = write(entry[0])  # the helper thread of train calls this too
+
+    def move(src, dst):
+        os.replace(src, dst)
+        moved.append((src, dst))
+
     try:
-        os.remove(os.path.join(out, "manifest.json"))
-    except FileNotFoundError:
-        pass
+        yield manifest, stage
+        finals = [os.path.join(out, "manifest.json")] + [final for _, final, _, _ in staged]
+        for final in filter(os.path.exists, finals):
+            move(final, os.path.join(out, f".{os.path.basename(final)}.previous"))
+        backups = [dst for _, dst in moved]
+        for partial, final, scope, sha256 in staged:
+            move(partial, final)
+            manifest.add_output(final, scope=scope, sha256=sha256)
+        manifest.timings["wall_s"] = time.perf_counter() - t0
+        stage("manifest.json", manifest.write)
+        partial, final, *_ = staged[-1]
+        move(partial, final)
+    except BaseException:
+        for src, dst in reversed(moved):
+            os.replace(dst, src)
+        for partial, *_ in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(partial)
+        raise
+    for backup in backups:
+        os.remove(backup)
 
 
 def _write_value_trace(path, rows) -> None:
@@ -185,10 +226,10 @@ def _write_value_trace(path, rows) -> None:
             fh.write(f"{it},{float(value)!r}\n")
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args, manifest, stage) -> str:
     from softmax_bounds.config import ConfigError
     from softmax_bounds.datasets import DatasetFormatError, gen_powerlaw_categorical, load_sparse
-    from softmax_bounds.manifest import RunManifest
+    from softmax_bounds.manifest import write_json
     from softmax_bounds.nonparam import (
         CountVector,
         bouchard_fit,
@@ -196,9 +237,6 @@ def _cmd_estimate(args) -> int:
         ove_fit,
         ove_sgd_fit,
     )
-
-    t0 = time.perf_counter()
-    manifest = RunManifest(command=["estimate"] + _args_echo(args), seed=args.seed)
 
     for flag, size, what in (("--K", args.K, "a count vector"), ("--N", args.N, "a label stream")):
         _refuse_oversize(size or 0, f"{what} that long", f"{flag} {size}", ConfigError)
@@ -246,20 +284,9 @@ def _cmd_estimate(args) -> int:
         trace_rows = result.objective_trace
         manifest.config = {"method": args.method, "counts": counts.counts.tolist()}
 
-    _prepare_out(args.out)
-    probs_path = os.path.join(args.out, "probs.json")
-    with open(probs_path, "w", encoding="utf-8") as fh:
-        json.dump(result.to_json_dict(), fh, indent=2)
-        fh.write("\n")
-    trace_path = os.path.join(args.out, "trace.csv")
-    _write_value_trace(trace_path, trace_rows)
-
-    manifest.add_output(probs_path)
-    manifest.add_output(trace_path)
-    manifest.timings["wall_s"] = time.perf_counter() - t0
-    manifest.write(os.path.join(args.out, "manifest.json"))
-    print(f"wrote {probs_path}, {trace_path}")
-    return EXIT_OK
+    stage("probs.json", lambda path: write_json(result.to_json_dict(), path))
+    stage("trace.csv", lambda path: _write_value_trace(path, trace_rows))
+    return f"wrote {os.path.join(args.out, 'probs.json')}, {os.path.join(args.out, 'trace.csv')}"
 
 
 def _load_dataset(path, num_classes, num_features):
@@ -300,7 +327,7 @@ def _evaluate(model, data):
     return error_rate(preds, truth), nlpd(probs, truth)
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args, manifest, stage) -> str:
     from concurrent.futures import ThreadPoolExecutor
 
     from softmax_bounds.datasets import unify_pair
@@ -312,12 +339,9 @@ def _cmd_train(args) -> int:
         Objective,
         ove_loglik,
     )
-    from softmax_bounds.manifest import SCOPE_FULL, SCOPE_NO_ELAPSED, RunManifest
+    from softmax_bounds.manifest import SCOPE_NO_ELAPSED, write_json
     from softmax_bounds.metrics import MethodReport
     from softmax_bounds.trainer import fit_full_batch, train
-
-    t0 = time.perf_counter()
-    manifest = RunManifest(command=["train"] + _args_echo(args), seed=args.seed)
 
     train_data = _load_dataset(args.train, args.num_classes, args.num_features)
     manifest.add_dataset(args.train)
@@ -331,14 +355,10 @@ def _cmd_train(args) -> int:
         eval_data, eval_split = train_data, "train"
 
     model0 = LinearModel.zeros(train_data.num_classes, train_data.num_features)
-    _prepare_out(args.out)
-    trace_path = os.path.join(args.out, "trace.csv")
-
     if args.objective == "ove-sgd":
         config = _train_config(args, lam=args.lam)
         fitted, trace = train(model0, train_data, config)
-        trace.to_csv(trace_path)
-        trace_scope = SCOPE_NO_ELAPSED
+        stage("trace.csv", trace.to_csv, SCOPE_NO_ELAPSED)
         bound_final = ove_loglik(fitted, train_data, lam=args.lam)
         manifest.config = {"objective": args.objective, **config.to_dict()}
     else:
@@ -348,42 +368,29 @@ def _cmd_train(args) -> int:
             "bouchard": KIND_BOUCHARD,
         }[args.objective]
         fitted, rows = fit_full_batch(model0, train_data, Objective(kind=kind, lam=args.lam))
-        _write_value_trace(trace_path, rows)
-        trace_scope = SCOPE_FULL
+        stage("trace.csv", lambda path: _write_value_trace(path, rows))
         bound_final = rows[-1][1]
         manifest.config = {"objective": args.objective, "lam": args.lam}
 
     # save and _evaluate only read W and spend their time with the GIL
     # released, so one helper thread writes and hashes the checkpoint while
     # this thread evaluates
-    ckpt_path = os.path.join(args.out, "checkpoint.bin")
     with ThreadPoolExecutor(max_workers=1) as pool:
-        saved = pool.submit(fitted.save, ckpt_path)
+        saved = pool.submit(stage, "checkpoint.bin", fitted.save)
         try:
             error, mean_nlpd = _evaluate(fitted, eval_data)
         finally:
-            # joined before anything else is written; a save error replaces
+            # joined before anything else is staged; a save error replaces
             # an evaluation error, as when the save ran first
-            ckpt_sha256 = saved.result()
+            saved.result()
     report = MethodReport(
         method=args.objective, error=error, nlpd=mean_nlpd, bound_final=bound_final
     )
     report.validate()
-    report_path = os.path.join(args.out, "report.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump({"eval_split": eval_split, "report": report.to_json_dict()}, fh, indent=2)
-        fh.write("\n")
-
-    manifest.add_output(trace_path, scope=trace_scope)
-    manifest.add_output(ckpt_path, sha256=ckpt_sha256)
-    manifest.add_output(report_path)
-    manifest.timings["wall_s"] = time.perf_counter() - t0
-    manifest.write(os.path.join(args.out, "manifest.json"))
-    print(
-        f"{args.objective}: bound_final={bound_final:.6f} "
-        f"{eval_split} error={error:.4f} nlpd={mean_nlpd:.4f}"
-    )
-    return EXIT_OK
+    payload = {"eval_split": eval_split, "report": report.to_json_dict()}
+    stage("report.json", lambda path: write_json(payload, path))
+    return (f"{args.objective}: bound_final={bound_final:.6f} "
+            f"{eval_split} error={error:.4f} nlpd={mean_nlpd:.4f}")
 
 
 def _parse_named_checkpoint(text: str) -> tuple[str, str]:
@@ -395,19 +402,15 @@ def _parse_named_checkpoint(text: str) -> tuple[str, str]:
     return name, path
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args, manifest, stage) -> str:
     from softmax_bounds.config import ConfigError
     from softmax_bounds.linear_model import CheckpointError, LinearModel
-    from softmax_bounds.manifest import RunManifest
     from softmax_bounds.metrics import (
         MethodReport,
         param_norm,
         write_report_csv,
         write_report_json,
     )
-
-    t0 = time.perf_counter()
-    manifest = RunManifest(command=["compare"] + _args_echo(args))
 
     if not args.candidate:
         raise ConfigError("need at least one --candidate NAME=CHECKPOINT")
@@ -435,21 +438,13 @@ def _cmd_compare(args) -> int:
         error, mean_nlpd = _evaluate(model, test_data)
         reports.append(MethodReport(method=name, error=error, nlpd=mean_nlpd, norm=norm))
 
-    _prepare_out(args.out)
-    csv_path = os.path.join(args.out, "reports.csv")
-    json_path = os.path.join(args.out, "reports.json")
-    write_report_csv(reports, csv_path)
-    write_report_json(reports, json_path)
+    stage("reports.csv", lambda path: write_report_csv(reports, path))
+    stage("reports.json", lambda path: write_report_json(reports, path))
     manifest.config = {
         "reference": ref_name,
         "candidates": [name for name, _ in candidates],
     }
-    manifest.add_output(csv_path)
-    manifest.add_output(json_path)
-    manifest.timings["wall_s"] = time.perf_counter() - t0
-    manifest.write(os.path.join(args.out, "manifest.json"))
-    print(f"wrote {csv_path} ({len(reports)} methods)")
-    return EXIT_OK
+    return f"wrote {os.path.join(args.out, 'reports.csv')} ({len(reports)} methods)"
 
 
 def _args_echo(args) -> list[str]:
@@ -483,7 +478,10 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {args.seed}")
-        return handlers[args.command](args)
+        with _publishing(args) as (manifest, stage):
+            summary = handlers[args.command](args, manifest, stage)
+        print(summary)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

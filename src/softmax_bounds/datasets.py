@@ -6,7 +6,7 @@ On-disk format is libsvm-like text: one instance per line,
 
 with 1-based labels and 1-based, strictly increasing feature indices. In
 memory everything is 0-based (labels included) so arrays index naturally;
-the loaders translate at the boundary.
+the loader translates at the boundary.
 
 In memory a dataset is one CSR matrix plus a label array: row i holds the
 feature indices ``indices[indptr[i]:indptr[i + 1]]`` and the values at the
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 
@@ -38,9 +37,7 @@ from softmax_bounds.rng import substream
 __all__ = [
     "DatasetFormatError",
     "SparseDataset",
-    "ReduceReport",
     "load_sparse",
-    "reduce_multilabel",
     "unify_pair",
     "gen_powerlaw_categorical",
 ]
@@ -146,15 +143,6 @@ class SparseDataset:
         return cls(mat.indptr, mat.indices, mat.data, labels, mat.shape[1], num_classes)
 
 
-@dataclass
-class ReduceReport:
-    """Outcome of a multilabel-to-single-label reduction."""
-
-    dataset: SparseDataset
-    num_kept: int
-    num_dropped: int
-
-
 def _sidecar(path: str) -> tuple[int, int]:
     """The (K, D) that ``<path>.meta.json`` pins; 0 where it pins nothing."""
     meta_path = path + ".meta.json"
@@ -175,23 +163,12 @@ def _sidecar(path: str) -> tuple[int, int]:
     return dims
 
 
-def _label(field: str, lineno: int, multilabel: bool) -> int | None:
-    """0-based label from a line's first token.
-
-    A multilabel field is a comma-separated list whose first entry counts;
-    None marks a multilabel line with no label field (it starts with a pair).
-    """
+def _label(field: str, lineno: int) -> int:
+    """0-based label from a line's first token."""
     if ":" in field:
-        if multilabel:
-            return None
         raise DatasetFormatError(f"line {lineno}: missing label field")
-    text = field
-    if multilabel:
-        text, *rest = field.split(",")
-        if "" in (text, *rest):
-            raise DatasetFormatError(f"line {lineno}: malformed label list {field!r}")
     try:
-        label = int(text)
+        label = int(field)
     except ValueError:
         raise DatasetFormatError(f"line {lineno}: cannot parse label {field!r}") from None
     if not 1 <= label <= _INT64_MAX:
@@ -216,14 +193,23 @@ def _converts(pair: str) -> bool:
     return True
 
 
-def _load(path: str, multilabel: bool, num_classes: int | None, num_features: int | None):
-    """Parse a sparse text file into ``(dataset, number of unlabeled lines)``.
+def load_sparse(
+    path: str,
+    num_classes: int | None = None,
+    num_features: int | None = None,
+) -> SparseDataset:
+    """Load a single-label sparse text file.
 
-    The line parser shared by both loaders. Lines are split one at a time
-    and their labels read; the idx:val tokens of the kept lines are
-    collected and converted in passes of ``_PAIRS_PER_PASS`` tokens, each
-    appending to flat index and value arrays. Only when a pass fails are
-    its tokens tried one by one, to name the line of the first bad one.
+    Rejects duplicate or unsorted feature indices, unparsable tokens, and
+    out-of-range labels, always naming the offending line. Blank lines are
+    skipped. An empty file (no instances) is an error. Explicit counts
+    below 2 classes or 1 feature raise ConfigError.
+
+    Lines are split one at a time and their labels read; the idx:val
+    tokens are collected and converted in passes of ``_PAIRS_PER_PASS``
+    tokens, each appending to flat index and value arrays. Only when a
+    pass fails are its tokens tried one by one, to name the line of the
+    first bad one.
     """
     if any(n is not None and n < least for n, least in ((num_classes, 2), (num_features, 1))):
         raise ConfigError(f"need num_classes >= 2 and num_features >= 1, "
@@ -234,7 +220,6 @@ def _load(path: str, multilabel: bool, num_classes: int | None, num_features: in
     pairs: list[str] = []
     indices: list[np.ndarray] = []
     values: list[np.ndarray] = []
-    dropped = 0
 
     def convert() -> None:
         try:
@@ -255,19 +240,14 @@ def _load(path: str, multilabel: bool, num_classes: int | None, num_features: in
             tokens = line.split()
             if not tokens:
                 continue
-            label = _label(tokens[0], lineno, multilabel)
-            if label is None:
-                dropped += 1
-                continue
-            labels.append(label)
+            labels.append(_label(tokens[0], lineno))
             linenos.append(lineno)
             counts.append(len(tokens) - 1)
             pairs += tokens[1:]
             if len(pairs) >= _PAIRS_PER_PASS:
                 convert()
     if not labels:
-        unlabeled = f" ({dropped} lines without a label)" if dropped else ""
-        raise DatasetFormatError(f"{path}: no instances found{unlabeled}")
+        raise DatasetFormatError(f"{path}: no instances found")
     convert()
     indptr = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
@@ -281,38 +261,7 @@ def _load(path: str, multilabel: bool, num_classes: int | None, num_features: in
     fault = _fault(indptr, indices, values, y, num_features, num_classes)
     if fault is not None:
         raise DatasetFormatError(f"line {linenos[fault[0]]}: {fault[1]}")
-    return SparseDataset(indptr, indices, values, y, num_features, num_classes), dropped
-
-
-def load_sparse(
-    path: str,
-    num_classes: int | None = None,
-    num_features: int | None = None,
-) -> SparseDataset:
-    """Load a single-label sparse text file.
-
-    Rejects duplicate or unsorted feature indices, unparsable tokens, and
-    out-of-range labels, always naming the offending line. Blank lines are
-    skipped. An empty file (no instances) is an error. Explicit counts
-    below 2 classes or 1 feature raise ConfigError.
-    """
-    return _load(path, False, num_classes, num_features)[0]
-
-
-def reduce_multilabel(
-    path: str,
-    num_classes: int | None = None,
-    num_features: int | None = None,
-) -> ReduceReport:
-    """Load a multilabel file, keeping only the first label of each row.
-
-    The label field is a comma-separated list. Rows with no label field
-    (line starts with an idx:val pair or whitespace) are dropped and counted
-    rather than rejected. Already-single-label files pass through unchanged,
-    so the reduction is idempotent.
-    """
-    dataset, dropped = _load(path, True, num_classes, num_features)
-    return ReduceReport(dataset=dataset, num_kept=len(dataset), num_dropped=dropped)
+    return SparseDataset(indptr, indices, values, y, num_features, num_classes)
 
 
 def unify_pair(train: SparseDataset, test: SparseDataset) -> tuple[SparseDataset, SparseDataset]:

@@ -21,6 +21,14 @@ SCOPE_FULL = "full"
 SCOPE_NO_ELAPSED = "excluding-elapsed-ms"
 
 
+def write_json(obj, path, sort_keys: bool = False) -> None:
+    """Write ``obj`` as indented JSON and a final newline: the one JSON
+    writer behind every output file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")
+
+
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -87,6 +95,4 @@ class RunManifest:
         }
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.to_json_dict(), path, sort_keys=True)

@@ -10,12 +10,12 @@ from the biases, before comparing.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from softmax_bounds.linear_model import LinearModel
+from softmax_bounds.manifest import write_json
 
 __all__ = [
     "MethodReport",
@@ -178,6 +178,4 @@ def write_report_csv(reports: list[MethodReport], path) -> None:
 def write_report_json(reports: list[MethodReport], path) -> None:
     for r in reports:
         r.validate()
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([r.to_json_dict() for r in reports], fh, indent=2)
-        fh.write("\n")
+    write_json([r.to_json_dict() for r in reports], path)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import threading
@@ -12,7 +13,7 @@ import pytest
 from softmax_bounds import cli
 from softmax_bounds.bounds import _sigmoid_impl
 from softmax_bounds.config import NumericalError
-from softmax_bounds.linear_model import _HEADER, LinearModel
+from softmax_bounds.linear_model import LinearModel
 from softmax_bounds.manifest import (
     SCOPE_FULL,
     SCOPE_NO_ELAPSED,
@@ -63,6 +64,35 @@ def trained(toy_files, tmp_path_factory):
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+HASHERS = {SCOPE_FULL: sha256_file, SCOPE_NO_ELAPSED: sha256_csv_without_last_column}
+
+
+@pytest.fixture(autouse=True)
+def manifest_holds_after_every_command(monkeypatch):
+    """After each ``cli.main`` call in this module, ``--out`` holds no
+    manifest, or every file its manifest lists hashes to the recorded
+    digest in the recorded scope."""
+    real = cli.main
+
+    def main(argv):
+        rc = real(argv)
+        path = os.path.join(argv[argv.index("--out") + 1] if "--out" in argv else ".",
+                            "manifest.json")
+        if os.path.exists(path):
+            for entry in read_json(path)["outputs"]:
+                assert HASHERS[entry["scope"]](entry["path"]) == entry["sha256"], entry
+        return rc
+
+    monkeypatch.setattr(cli, "main", main)
+
+
+def snapshot(out):
+    """{name: bytes} of every file in ``out``, or None if it does not exist."""
+    if not out.exists():
+        return None
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
 
 def read_trace(path):
@@ -563,7 +593,7 @@ class TestTrain:
 class TestOverlappedTail:
     """``train`` writes and hashes the checkpoint on a helper thread while
     it evaluates; the join must end that overlap before anything else is
-    written, on success and on failure."""
+    staged or published, on success and on failure."""
 
     @pytest.fixture
     def argv(self, toy_files, tmp_path):
@@ -604,7 +634,7 @@ class TestOverlappedTail:
         assert rc == 0
         assert alive == []
         ((digest, files_at_save),) = slow_save
-        assert files_at_save == ["checkpoint.bin", "trace.csv"]
+        assert files_at_save == [".checkpoint.bin.partial", ".trace.csv.partial"]
         out = argv[-1]
         manifest = read_json(os.path.join(out, "manifest.json"))
         (entry,) = [o for o in manifest["outputs"] if o["path"].endswith("checkpoint.bin")]
@@ -620,9 +650,9 @@ class TestOverlappedTail:
         assert rc == 3
         assert capsys.readouterr().err == "error: disk full\n"
         assert alive == []
-        assert sorted(os.listdir(argv[-1])) == ["trace.csv"]
+        assert os.listdir(argv[-1]) == []
 
-    def test_evaluation_error_leaves_complete_checkpoint(
+    def test_evaluation_error_joins_the_save_and_leaves_nothing(
         self, argv, slow_save, monkeypatch, capsys
     ):
         monkeypatch.setattr(cli, "_evaluate", self.failing_evaluate)
@@ -630,13 +660,10 @@ class TestOverlappedTail:
         assert rc == 1
         assert capsys.readouterr().err == "error: evaluation overflowed\n"
         assert alive == []
-        out = argv[-1]
-        assert sorted(os.listdir(out)) == ["checkpoint.bin", "trace.csv"]
-        ckpt = os.path.join(out, "checkpoint.bin")
-        k, d = 5, 2
-        assert os.path.getsize(ckpt) == _HEADER.size + 8 * (k * d + k)
-        ((digest, _),) = slow_save
-        assert sha256_file(ckpt) == digest
+        # the save ran to its end before the staged files were removed
+        ((_, files_at_save),) = slow_save
+        assert ".checkpoint.bin.partial" in files_at_save
+        assert os.listdir(argv[-1]) == []
 
 
 class TestCompare:
@@ -728,7 +755,7 @@ class TestCompare:
         _, test = toy_files
         good = f"{trained['soft']}/checkpoint.bin"
         bad = tmp_path / "nan.bin"
-        blob = bytearray(open(good, "rb").read())
+        blob = bytearray(pathlib.Path(good).read_bytes())
         blob[24:32] = np.array([np.nan], dtype="<f8").tobytes()
         bad.write_bytes(bytes(blob))
         ref, cand = (bad, good) if role == "reference" else (good, bad)
@@ -799,6 +826,108 @@ def test_count_below_minimum_exits_2(command, flag, value, least, tmp_path, caps
     assert cli.main(argv + [flag, value, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {flag} must be at least {least}, got {value}\n"
     assert not out.exists()
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+def _patch(target, name, exc):
+    """A fault injector: make ``target.name`` raise ``exc``."""
+    return lambda m: m.setattr(target, name, _raise(exc))
+
+
+def _fail_move(name):
+    """A fault injector: make ``os.replace`` raise when it moves the staged
+    ``name`` into place."""
+    real = os.replace
+
+    def replace(src, dst):
+        if os.path.basename(src) == f".{name}.partial":
+            raise OSError(f"cannot move {name}")
+        return real(src, dst)
+    return lambda m: m.setattr(os, "replace", replace)
+
+
+# (command, its last output before the manifest)
+PUBLISH_COMMANDS = [("estimate-ove-sgd", "trace.csv"), ("train-ove-sgd", "report.json"),
+                    ("train-soft", "report.json"), ("compare", "reports.json")]
+PUBLISH_FAILURES = ["after-load", "numerical", "save", "write-manifest", "move-last-output",
+                    "move-manifest"]
+
+
+@pytest.mark.parametrize("command, last, failure", [
+    (command, last, failure)
+    for command, last in PUBLISH_COMMANDS
+    for failure in PUBLISH_FAILURES
+    if failure != "save" or command.startswith("train")
+])
+def test_failed_command_leaves_out_as_it_was(command, last, failure, toy_files, trained,
+                                             tmp_path, monkeypatch, capsys):
+    # a rerun that fails at any point leaves the previous run's files and
+    # manifest byte for byte, with no staged file; into a fresh --out it
+    # leaves nothing
+    train, test = toy_files
+    zero = tmp_path / "zero.bin"
+    LinearModel.zeros(5, 2).save(str(zero))
+    argv = {
+        "estimate-ove-sgd": ["estimate", "--method", "ove-sgd", "--gen", "powerlaw",
+                             "--K", "20", "--N", "500", "--S", "3", "--epochs", "2"],
+        "train-ove-sgd": ["train", "--train", train, "--test", test, "--objective", "ove-sgd",
+                          "--b", "10", "--S", "2", "--epochs", "2"],
+        "train-soft": ["train", "--train", train, "--test", test, "--objective", "soft"],
+        "compare": ["compare", "--reference", f"soft={trained['soft']}/checkpoint.bin",
+                    "--candidate", f"ove={trained['ove']}/checkpoint.bin", "--test", test],
+    }[command]
+    inject = None
+    if failure == "after-load":  # an error raised once the inputs are loaded
+        extra, rc = {"estimate-ove-sgd": (["--S", "25"], cli.EXIT_CONFIG),
+                     "train-ove-sgd": (["--lr", "1e300"], cli.EXIT_CONFIG),
+                     "train-soft": (["--lam", "nan"], cli.EXIT_CONFIG),
+                     "compare": (["--reference", f"zero={zero}"], cli.EXIT_DATA)}[command]
+    elif failure == "numerical" and command == "estimate-ove-sgd":
+        extra, rc = ["--lr", "1e308"], cli.EXIT_NUMERICAL  # the fit overflows
+    else:
+        extra, (inject, rc) = [], {
+            "numerical": (_patch(cli, "_evaluate", NumericalError("overflow")),
+                          cli.EXIT_NUMERICAL),
+            "save": (_patch(LinearModel, "save", OSError("disk full")), cli.EXIT_DATA),
+            "write-manifest": (_patch(RunManifest, "write", OSError("disk full")), cli.EXIT_DATA),
+            "move-last-output": (_fail_move(last), cli.EXIT_DATA),
+            "move-manifest": (_fail_move("manifest.json"), cli.EXIT_DATA),
+        }[failure]
+
+    def fail(out):
+        with monkeypatch.context() as m:
+            if inject is not None:
+                inject(m)
+            assert cli.main(argv + extra + ["--out", str(out)]) == rc
+        assert capsys.readouterr().err.startswith("error: ")
+
+    fresh = tmp_path / "fresh"
+    fail(fresh)
+    assert snapshot(fresh) in (None, {})
+    out = tmp_path / "run"
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK
+    before = snapshot(out)
+    assert {last, "manifest.json"} <= before.keys()
+    fail(out)
+    assert snapshot(out) == before
+
+
+def test_interrupted_command_leaves_out_as_it_was(toy_files, tmp_path, monkeypatch):
+    # Ctrl-C during the evaluation, with the trace and the checkpoint staged
+    train, test = toy_files
+    out = tmp_path / "run"
+    argv = ["train", "--train", train, "--test", test, "--objective", "soft", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    before = snapshot(out)
+    monkeypatch.setattr(cli, "_evaluate", _raise(KeyboardInterrupt()))
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(argv)
+    assert snapshot(out) == before
 
 
 class TestManifest:

@@ -1,4 +1,4 @@
-"""Tests for sparse ingestion, the multilabel reduction, and the generators."""
+"""Tests for sparse ingestion and the generators."""
 
 import json
 import os
@@ -13,11 +13,9 @@ from softmax_bounds import datasets
 from softmax_bounds.config import ConfigError
 from softmax_bounds.datasets import (
     DatasetFormatError,
-    ReduceReport,
     SparseDataset,
     gen_powerlaw_categorical,
     load_sparse,
-    reduce_multilabel,
     unify_pair,
 )
 from softmax_bounds.rng import substream
@@ -131,8 +129,6 @@ class TestLoadSparse:
                        {"num_features": 0}, {"num_features": -1}):
             with pytest.raises(ConfigError, match="num_classes >= 2 and num_features >= 1"):
                 load_sparse(str(p), **counts)
-            with pytest.raises(ConfigError, match="num_classes >= 2 and num_features >= 1"):
-                reduce_multilabel(str(p), **counts)
             with pytest.raises(ConfigError):
                 load_sparse(str(tmp_path / "missing.txt"), **counts)
 
@@ -180,18 +176,16 @@ class TestLoadSparse:
             fh.write(blob)
             path = fh.name
         try:
-            # both loaders run the same line parser
-            for load in (load_sparse, lambda p: reduce_multilabel(p).dataset):
-                try:
-                    ds = load(path)
-                except DatasetFormatError as exc:
-                    msg = str(exc)
-                    assert "line" in msg or "no instances" in msg
-                else:
-                    # the loaded arrays pass the constructor's checks again
-                    mat, y = ds.to_csr()
-                    SparseDataset(mat.indptr, mat.indices, mat.data, y,
-                                  ds.num_features, ds.num_classes)
+            try:
+                ds = load_sparse(path)
+            except DatasetFormatError as exc:
+                msg = str(exc)
+                assert "line" in msg or "no instances" in msg
+            else:
+                # the loaded arrays pass the constructor's checks again
+                mat, y = ds.to_csr()
+                SparseDataset(mat.indptr, mat.indices, mat.data, y,
+                              ds.num_features, ds.num_classes)
         finally:
             import os
 
@@ -361,42 +355,6 @@ class TestCsr:
     def test_index_order_resets_at_row_boundaries(self):
         # the second row starts below where the first ended: that is fine
         SparseDataset(**csr_arrays(indices=np.array([2, 3, 0])))
-
-
-class TestReduceMultilabel:
-    def test_keeps_first(self, tmp_path):
-        p = tmp_path / "m.txt"
-        p.write_text("5,2,9 1:1\n")
-        rep = reduce_multilabel(str(p))
-        assert rep.dataset.labels().tolist() == [4]  # label 5, 0-based
-        assert rep.dataset.num_classes == 5
-        assert rep.num_kept == 1
-        assert rep.num_dropped == 0
-
-    def test_unlabeled_dropped_and_counted(self, tmp_path):
-        p = tmp_path / "m.txt"
-        p.write_text(" 1:1\n3 2:1\n1:5 2:1\n")
-        rep = reduce_multilabel(str(p))
-        assert rep.num_kept == 1
-        assert rep.num_dropped == 2
-
-    def test_idempotent_on_single_label(self, tmp_path):
-        p = tmp_path / "m.txt"
-        p.write_text("2 1:0.25 3:4.0\n1 2:1.0\n")
-        rep = reduce_multilabel(str(p))
-        direct = load_sparse(str(p))
-        np.testing.assert_array_equal(rep.dataset.labels(), direct.labels())
-        q = tmp_path / "m2.txt"
-        write_sparse(rep.dataset, str(q))
-        rep2 = reduce_multilabel(str(q))
-        np.testing.assert_array_equal(rep2.dataset.labels(), rep.dataset.labels())
-        assert rep2.num_dropped == 0
-
-    def test_malformed_list(self, tmp_path):
-        p = tmp_path / "m.txt"
-        p.write_text("5,,2 1:1\n")
-        with pytest.raises(DatasetFormatError, match="line 1"):
-            reduce_multilabel(str(p))
 
 
 class TestUnifyPair:

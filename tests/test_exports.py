@@ -16,7 +16,6 @@ PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 UNREACHED = {
     "trainer.stochastic_gradient": "the ROADMAP's one SGD step kernel API, shared with the tests",
     "datasets.SparseDataset.from_dense": "README documents it as a SparseDataset constructor",
-    "datasets.reduce_multilabel": "README documents it as the multilabel loader",
 }
 
 
