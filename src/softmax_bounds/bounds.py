@@ -32,7 +32,6 @@ __all__ = [
     "softmax",
     "softmax_prob",
     "ove_log_bound",
-    "ove_log_bound_all",
     "hierarchical_log_bound",
     "bouchard_lse_upper",
     "bouchard_log_bound",
@@ -43,6 +42,7 @@ __all__ = [
 # Tolerance on |sum_m sigmoid(f_m - alpha) - 1| at the returned alpha.
 ALPHA_TOL = 1e-10
 ALPHA_MAX_ITER = 200
+_BLOCK = 32768  # elements per block of the dense reductions and OVE count walk: 256 KB, in cache
 
 
 class ConvergenceError(RuntimeError):
@@ -131,6 +131,12 @@ def _log_sum_exp_rows(f: np.ndarray) -> np.ndarray:
     return top + np.log(np.exp(e, out=e).sum(axis=-1))
 
 
+def _row_slices(num_rows: int, row_len: int):
+    """Slices of consecutive rows of about ``_BLOCK`` elements each."""
+    step = max(1, _BLOCK // max(1, row_len))
+    return (slice(r, r + step) for r in range(0, num_rows, step))
+
+
 def log_sum_exp(f) -> float:
     """log sum_k exp(f_k) via the max-shift identity.
 
@@ -172,19 +178,6 @@ def ove_log_bound(f, k: int) -> float:
     k = _check_class(k, arr.size)
     z = arr[k] - np.delete(arr, k)
     return float(np.sum(_log_sigmoid_impl(z)))
-
-
-def ove_log_bound_all(f) -> np.ndarray:
-    """One-vs-each bound for every class at once.
-
-    Returns a length-K array whose k-th entry equals ``ove_log_bound(f, k)``.
-    Materializes the K x K difference matrix, so intended for K up to a few
-    thousand; the trainers use sampled estimates instead.
-    """
-    arr = _as_scores(f)
-    ls = _log_sigmoid_impl(arr[:, None] - arr[None, :])
-    # diagonal contributes log sigmoid(0) = -log 2 to each row sum
-    return ls.sum(axis=1) - np.diag(ls)
 
 
 @dataclass(frozen=True)

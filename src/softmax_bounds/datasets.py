@@ -258,10 +258,11 @@ def load_sparse(
     meta_classes, meta_features = _sidecar(path)
     num_classes = num_classes or meta_classes or max(int(y.max()) + 1, 2)
     num_features = num_features or meta_features or max(int(indices.max(initial=-1)) + 1, 1)
-    fault = _fault(indptr, indices, values, y, num_features, num_classes)
-    if fault is not None:
-        raise DatasetFormatError(f"line {linenos[fault[0]]}: {fault[1]}")
-    return SparseDataset(indptr, indices, values, y, num_features, num_classes)
+    try:
+        return SparseDataset(indptr, indices, values, y, num_features, num_classes)
+    except ValueError:  # a row breaks a rule; find it again, to name its line
+        row, problem = _fault(indptr, indices, values, y, num_features, num_classes)
+        raise DatasetFormatError(f"line {linenos[row]}: {problem}") from None
 
 
 def unify_pair(train: SparseDataset, test: SparseDataset) -> tuple[SparseDataset, SparseDataset]:

@@ -28,8 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from softmax_bounds.bounds import (
+    _BLOCK,
     _log_sigmoid_impl,
     _log_sum_exp_rows,
+    _row_slices,
     _sigmoid_impl,
     _softmax_rows,
     _softplus_impl,
@@ -60,7 +62,6 @@ KIND_BOUCHARD = "bouchard"
 _MAGIC = b"SBLM"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIQQ")
-_BLOCK = 32768  # elements per block of the dense reductions: 256 KB, so it stays in cache
 
 
 class CheckpointError(ValueError):
@@ -224,12 +225,6 @@ def _label_scores(model: LinearModel, data: SparseDataset):
     y = data.labels()
     _check_labels(y, model.num_classes)
     return f, y, f[np.arange(len(y)), y]
-
-
-def _row_slices(num_rows: int, row_len: int):
-    """Slices of consecutive rows of about ``_BLOCK`` elements each."""
-    step = max(1, _BLOCK // max(1, row_len))
-    return (slice(r, r + step) for r in range(0, num_rows, step))
 
 
 def _param_blocks(weights: np.ndarray, biases: np.ndarray):

@@ -6,7 +6,8 @@ N_1..N_K, the exact MLE is p_k = N_k / N. The estimators here maximize,
 instead of the exact log likelihood, the lower-bound surrogates from
 :mod:`softmax_bounds.bounds`:
 
-* ``ove_fit``      -- sum_k N_k * ove_log_bound(f, k), by L-BFGS
+* ``ove_fit``      -- sum_k N_k * ove_log_bound(f, k), by L-BFGS on the SGD
+                      step kernel, one block of classes at a time: no K x K
 * ``bouchard_fit`` -- sum_k N_k * bouchard_log_bound(f, k, alpha), one
                       shared alpha; its joint maximizer in closed form
 * ``ove_sgd_fit``  -- the OVE surrogate again, but optimized from a label
@@ -27,11 +28,12 @@ import numpy as np
 
 from softmax_bounds.bounds import (
     ConvergenceError,
+    _as_scores,
     _log_sigmoid_impl,
+    _row_slices,
     _sigmoid_impl,
     _softmax_rows,
     _softplus_impl,
-    ove_log_bound_all,
 )
 from softmax_bounds.config import ConfigError, NumericalError, OptimizerSettings, TrainConfig
 from softmax_bounds.rng import substream
@@ -41,7 +43,6 @@ __all__ = [
     "EstimationResult",
     "exact_mle",
     "ove_objective",
-    "ove_objective_grad",
     "bouchard_objective",
     "ove_fit",
     "bouchard_fit",
@@ -167,6 +168,24 @@ def exact_mle(counts: CountVector) -> EstimationResult:
     return result
 
 
+def _ove_terms(f: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
+    """(value, gradient) of ``ove_objective`` at finite scores f and float
+    counts c: ``_ove_step`` on the rows (f_k, f_1 .. f_K), a block of classes
+    k at a time. Each class is its own rival at score -inf, where sigmoid
+    and log sigmoid are exactly 0, so the self pair adds nothing."""
+    k = f.size
+    value, grad = 0.0, np.zeros(k)
+    for rows in _row_slices(k, k):
+        own = np.arange(k)[rows]
+        scores = np.column_stack((f[own], np.broadcast_to(f, (own.size, k))))
+        scores[np.arange(own.size), own + 1] = -np.inf
+        coeffs, rise = _ove_step(scores, 1.0)
+        value += float(c[own] @ _log_sigmoid_impl(-rise).sum(axis=1))
+        grad[own] += c[own] * coeffs[:, 0]
+        grad += c[own] @ coeffs[:, 1:]
+    return value, grad
+
+
 def ove_objective(f, counts: CountVector) -> float:
     """Count-weighted one-vs-each surrogate:
 
@@ -179,17 +198,7 @@ def ove_objective(f, counts: CountVector) -> float:
         raise ValueError(
             f"score shape {arr.shape} does not match {counts.num_classes} classes"
         )
-    return float(counts.counts @ ove_log_bound_all(arr))
-
-
-def ove_objective_grad(f, counts: CountVector) -> np.ndarray:
-    """Gradient of ``ove_objective``; entries sum to zero."""
-    arr = np.asarray(f, dtype=np.float64)
-    c = counts.counts.astype(np.float64)
-    m = _sigmoid_impl(arr[:, None] - arr[None, :])  # m[j, k] = sigmoid(f_j - f_k)
-    # d/df_j = N_j sum_{m != j} sigmoid(f_m - f_j) - sum_{k != j} N_k sigmoid(f_j - f_k);
-    # the diagonal sigmoid(0) = 1/2 terms cancel between the two sums.
-    return c * m.sum(axis=0) - m @ c
+    return _ove_terms(_as_scores(arr), counts.counts.astype(np.float64))[0]
 
 
 def bouchard_objective(f, alpha: float, counts: CountVector) -> float:
@@ -300,9 +309,8 @@ def ove_fit(
     settings.validate()
 
     def fit(c):
-        sub = CountVector(c)
-        result = _maximize(lambda f: (ove_objective(f, sub), ove_objective_grad(f, sub)),
-                           np.zeros(c.size), settings)
+        c = c.astype(np.float64)
+        result = _maximize(lambda f: _ove_terms(f, c), np.zeros(c.size), settings)
         return (*_gated(result, settings), None)
 
     return _count_fit("ove", counts, fit)

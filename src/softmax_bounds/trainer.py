@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from softmax_bounds.bounds import _row_slices
 from softmax_bounds.config import ConfigError, NumericalError, OptimizerSettings, TrainConfig
 from softmax_bounds.datasets import SparseDataset
 from softmax_bounds.linear_model import (
@@ -50,7 +51,6 @@ from softmax_bounds.linear_model import (
     KIND_OVE,
     LinearModel,
     Objective,
-    _row_slices,
     bouchard_loglik,
     exact_loglik,
     full_gradient,

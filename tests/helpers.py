@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 
+from softmax_bounds.bounds import _as_scores, _log_sigmoid_impl
 from softmax_bounds.datasets import SparseDataset
 from softmax_bounds.rng import substream
 
@@ -29,6 +30,19 @@ def record_sampler_calls(monkeypatch, module):
 
     monkeypatch.setattr(module, "sample_rival_classes", recording)
     return calls
+
+
+def ove_log_bound_all(f) -> np.ndarray:
+    """One-vs-each bound for every class at once.
+
+    Returns a length-K array whose k-th entry equals ``ove_log_bound(f, k)``.
+    Materializes the K x K difference matrix: the oracle of the blocked
+    walk that ``nonparam`` evaluates the count objective with.
+    """
+    arr = _as_scores(f)
+    ls = _log_sigmoid_impl(arr[:, None] - arr[None, :])
+    # diagonal contributes log sigmoid(0) = -log 2 to each row sum
+    return ls.sum(axis=1) - np.diag(ls)
 
 
 def traced_peak(fn, *args, **kwargs):

@@ -24,12 +24,13 @@ from softmax_bounds.bounds import (
     optimize_alpha,
     optimize_alpha_batch,
     ove_log_bound,
-    ove_log_bound_all,
     sigmoid,
     softmax,
     softmax_prob,
     softplus,
 )
+
+from helpers import ove_log_bound_all
 
 
 class TestStableKernels:

@@ -165,6 +165,18 @@ class TestEstimate:
         probs = read_json(os.path.join(out, "probs.json"))
         np.testing.assert_allclose(probs["probs"], counts / counts.sum(), rtol=0, atol=1e-6)
 
+    @pytest.mark.parametrize("counts", [[10**6, 1, 1], [10**7] + [1] * 9])
+    def test_ove_dominant_count_converges(self, tmp_path, counts):
+        # a value and gradient that added each class's self pair and took it
+        # out again left rounding above the line search's few ulps of
+        # noise, and these stalled at a gradient inf-norm near 1e-5
+        out = str(tmp_path / "run")
+        assert cli.main(["estimate", "--method", "ove", "--counts",
+                         ",".join(map(str, counts)), "--out", out]) == 0
+        probs = read_json(os.path.join(out, "probs.json"))
+        counts = np.array(counts)
+        np.testing.assert_allclose(probs["probs"], counts / counts.sum(), rtol=1e-8, atol=0)
+
     def test_bouchard_skewed_counts_converge(self, tmp_path):
         # counts over five decades, on which L-BFGS on the profile objective
         # stalled at a gradient of about 1e-6
@@ -1036,6 +1048,24 @@ class TestEnvironment:
         assert result.returncode == 0
         probs = read_json(os.path.join(str(tmp_path), "probs.json"))
         np.testing.assert_allclose(probs["probs"], [0.25, 0.75], atol=1e-12)
+
+    def test_estimate_imports_no_scipy(self, tmp_path):
+        # what keeps it so: ``_maximize`` lives in nonparam and the block
+        # slicer in bounds, and only the dataset and linear-model code
+        # imports scipy
+        runs = [["--method", method, "--counts", "5,1,3"]
+                for method in ("exact", "ove", "bouchard")]
+        runs.append(["--method", "ove-sgd", "--gen", "powerlaw", "--K", "20", "--N", "200",
+                     "--epochs", "2"])
+        runs = [run + ["--out", str(tmp_path / str(i))] for i, run in enumerate(runs)]
+        code = ("import json, sys\nfrom softmax_bounds import cli\n"
+                "codes = [cli.main(['estimate', *run]) for run in json.loads(sys.argv[1])]\n"
+                "scipy = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+                "print(json.dumps([codes, scipy]))")
+        result = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == [[0, 0, 0, 0], []]
 
     def test_help_exits_cleanly(self):
         with pytest.raises(SystemExit) as exc:

@@ -37,6 +37,15 @@ class TestLoadSparse:
         assert ds.num_classes == 3
         assert ds.num_features == 7
 
+    def test_validates_each_file_once(self, tmp_path, monkeypatch):
+        calls = []
+        fault = datasets._fault
+        monkeypatch.setattr(datasets, "_fault", lambda *args: calls.append(1) or fault(*args))
+        p = tmp_path / "d.txt"
+        p.write_text("3 1:0.5 7:2.0\n1 2:1\n")
+        load_sparse(str(p))
+        assert len(calls) == 1
+
     def test_duplicate_index_reports_line(self, tmp_path):
         p = tmp_path / "d.txt"
         p.write_text("1 2:1 2:1\n")

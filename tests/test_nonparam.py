@@ -28,13 +28,18 @@ from softmax_bounds.nonparam import (
     exact_mle,
     ove_fit,
     ove_objective,
-    ove_objective_grad,
     ove_sgd_fit,
     sample_rival_classes,
 )
 from softmax_bounds.rng import substream
 
-from helpers import record_sampler_calls, traced_peak
+from helpers import ove_log_bound_all, record_sampler_calls, traced_peak
+
+
+def ove_gradient(f, counts: CountVector) -> np.ndarray:
+    """The gradient of ``ove_objective`` that ``ove_fit`` ascends."""
+    arr = np.asarray(f, dtype=np.float64)
+    return nonparam._ove_terms(arr, counts.counts.astype(np.float64))[1]
 
 
 def ove_objective_pairwise(f, counts: CountVector) -> float:
@@ -134,7 +139,7 @@ class TestOveObjective:
             k = int(rng.integers(2, 12))
             counts = CountVector(rng.integers(1, 20, size=k))
             f = rng.normal(scale=1.5, size=k)
-            g = ove_objective_grad(f, counts)
+            g = ove_gradient(f, counts)
             h = 1e-6
             for j in range(k):
                 e = np.zeros(k)
@@ -148,7 +153,21 @@ class TestOveObjective:
         rng = np.random.default_rng(43)
         counts = CountVector(rng.integers(1, 50, size=15))
         f = rng.normal(size=15)
-        assert ove_objective_grad(f, counts).sum() == pytest.approx(0.0, abs=1e-9)
+        assert ove_gradient(f, counts).sum() == pytest.approx(0.0, abs=1e-9)
+
+    def test_memory_is_a_tenth_of_one_k_by_k_array(self):
+        # the K x K value and gradient matrices it replaced peaked at 225 MB
+        k = 3000
+        counts = CountVector(np.arange(1, k + 1))
+        f = np.random.default_rng(47).normal(scale=3.0, size=k)
+        assert traced_peak(ove_objective, f, counts) <= 0.1 * k * k * 8
+
+    def test_rejects_bad_scores(self):
+        counts = CountVector(np.array([1, 2, 3]))
+        with pytest.raises(ValueError, match="does not match"):
+            ove_objective(np.zeros(2), counts)
+        with pytest.raises(ValueError, match="non-finite"):
+            ove_objective(np.array([0.0, np.inf, 1.0]), counts)
 
     def test_concave_along_random_lines(self):
         rng = np.random.default_rng(44)
@@ -508,6 +527,41 @@ def count_vectors(draw):
     counts = draw(st.lists(st.integers(0, 10**4), min_size=k, max_size=k)
                   .filter(lambda c: sum(n > 0 for n in c) >= 2))
     return CountVector(np.array(counts))
+
+
+@st.composite
+def ove_walk_cases(draw):
+    """(f, counts): K in [2, 400], so from one block of ``_row_slices(K, K)``
+    to five with a partial last one, scores up to 1e3 apart, and counts
+    that are zero on a drawn share of the classes."""
+    k = draw(st.integers(2, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    half = draw(st.floats(0.0, 500.0))
+    f = rng.uniform(-half, half, size=k)
+    counts = rng.integers(0, 1000, size=k) * (rng.random(k) < draw(st.floats(0.0, 1.0)))
+    counts[rng.integers(k)] += 1
+    return f, CountVector(counts)
+
+
+class TestOveTermsProperties:
+    """``_ove_terms`` against the K x K formulas it replaced. The value's
+    terms share one sign, so it must match the count-weighted
+    ``ove_log_bound_all`` to 1e-12 relative, plus 4 ulps of 1 per count for
+    the oracle, which adds log 2 to each class's sum and takes it out again.
+    The gradient's two sums cancel, so it must match the sigma-matrix
+    formula to 1e-12 of the sum of their magnitudes."""
+
+    @given(case=ove_walk_cases())
+    def test_matches_the_matrix_oracles(self, case):
+        f, counts = case
+        c = counts.counts.astype(np.float64)
+        value, grad = nonparam._ove_terms(f, c)
+        assert value == pytest.approx(float(c @ ove_log_bound_all(f)), rel=1e-12,
+                                      abs=4 * np.spacing(1.0) * c.sum())
+        m = _sigmoid_impl(f[:, None] - f[None, :])  # m[j, k] = sigmoid(f_j - f_k)
+        label_side, rival_side = c * m.sum(axis=0), m @ c
+        err = np.abs(grad - (label_side - rival_side))
+        assert (err <= 1e-12 * (label_side + rival_side) + 1e-300).all()
 
 
 class TestCountFitProperties:
