@@ -115,9 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--candidate", action="append", default=[], metavar="NAME=CHECKPOINT",
         help="candidate method (repeatable)",
     )
-    cmp_.add_argument("--test", required=True, help="test set (sparse text format)")
-    cmp_.add_argument("--num-classes", type=int, help="override inferred class count")
-    cmp_.add_argument("--num-features", type=int, help="override inferred feature count")
+    cmp_.add_argument("--test", required=True, help="test set, read with the reference's K and D")
     cmp_.add_argument("--out", default=".", help="output directory")
     return parser
 
@@ -404,6 +402,7 @@ def _parse_named_checkpoint(text: str) -> tuple[str, str]:
 
 def _cmd_compare(args, manifest, stage) -> str:
     from softmax_bounds.config import ConfigError
+    from softmax_bounds.datasets import load_sparse
     from softmax_bounds.linear_model import CheckpointError, LinearModel
     from softmax_bounds.metrics import (
         MethodReport,
@@ -417,24 +416,22 @@ def _cmd_compare(args, manifest, stage) -> str:
     ref_name, ref_path = _parse_named_checkpoint(args.reference)
     candidates = [_parse_named_checkpoint(c) for c in args.candidate]
 
-    test_data = _load_dataset(args.test, args.num_classes, args.num_features)
+    # the reference is the first model, and its K and D are the test set's
+    reference = LinearModel.load(ref_path)
+    k, d = reference.num_classes, reference.num_features
+    if k < 2 or d < 1:
+        raise CheckpointError(f"reference {ref_path} is {k} x {d}; need >= 2 classes, >= 1 feature")
+    test_data = load_sparse(args.test, num_classes=k, num_features=d)
     manifest.add_dataset(args.test)
 
-    # the reference is the first model; candidates are scored against it
-    shape = (test_data.num_classes, test_data.num_features)
-    reference, reports = None, []
+    reports = []
     for name, path in [(ref_name, ref_path)] + candidates:
-        model = LinearModel.load(path)
+        model = LinearModel.load(path) if reports else reference
         manifest.add_dataset(path)
-        if (model.num_classes, model.num_features) != shape:
-            raise CheckpointError(
-                f"checkpoint {path} is {model.num_classes} x {model.num_features} "
-                f"but the test set is {shape[0]} x {shape[1]}")
-        reference = model if reference is None else reference
         try:
             norm = None if model is reference else param_norm(reference, model)
-        except ValueError as exc:  # shapes match, so the reference is zero
-            raise CheckpointError(f"reference checkpoint {ref_path}: {exc}") from None
+        except ValueError as exc:  # another shape, or a reference that is zero
+            raise CheckpointError(f"{path} against reference {ref_path}: {exc}") from None
         error, mean_nlpd = _evaluate(model, test_data)
         reports.append(MethodReport(method=name, error=error, nlpd=mean_nlpd, norm=norm))
 

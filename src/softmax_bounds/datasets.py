@@ -156,8 +156,8 @@ def _sidecar(path: str) -> tuple[int, int]:
     if not isinstance(meta, dict):
         raise DatasetFormatError(f"{meta_path}: expected a JSON object")
     dims = meta.get("K", 0), meta.get("D", 0)
-    if any(type(v) is not int or v < 0 for v in dims):
-        raise DatasetFormatError(f"{meta_path}: K and D must be non-negative integers")
+    if any(type(v) is not int or not 0 <= v <= _INT64_MAX for v in dims):
+        raise DatasetFormatError(f"{meta_path}: K and D must be integers in [0, {_INT64_MAX}]")
     if dims[0] == 1:
         raise DatasetFormatError(f"{meta_path}: K must be 0 (not pinned) or at least 2")
     return dims

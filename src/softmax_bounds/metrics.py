@@ -10,6 +10,7 @@ from the biases, before comparing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,25 +82,23 @@ def param_norm(reference: LinearModel, other: LinearModel) -> float:
 
     Computes ||g(reference) - g(other)|| / ||g(reference)|| over weights
     and biases flattened together, where g is ``gauge_fix``. Satisfies
-    param_norm(w, c*w) = |1 - c| for any scalar c.
+    param_norm(w, c*w) = |1 - c| for any scalar c. Holds one K x D array
+    at a time beyond the two models.
     """
-    if (
-        reference.num_classes != other.num_classes
-        or reference.num_features != other.num_features
-    ):
-        raise ValueError(
-            f"shape mismatch: reference {reference.num_classes} x "
-            f"{reference.num_features}, other {other.num_classes} x "
-            f"{other.num_features}"
-        )
-    g_ref = gauge_fix(reference)
-    g_other = gauge_fix(other)
-    ref_vec = np.concatenate((g_ref.weights.ravel(), g_ref.biases))
-    other_vec = np.concatenate((g_other.weights.ravel(), g_other.biases))
-    denom = float(np.linalg.norm(ref_vec))
+    if reference.weights.shape != other.weights.shape:
+        raise ValueError(f"shape mismatch: reference {reference.num_classes} x "
+                         f"{reference.num_features}, other {other.num_classes} x "
+                         f"{other.num_features}")
+    ref = gauge_fix(reference)
+    denom = math.hypot(np.linalg.norm(ref.weights), np.linalg.norm(ref.biases))
     if denom == 0.0:
         raise ValueError("reference model is zero after gauge fixing")
-    return float(np.linalg.norm(ref_vec - other_vec)) / denom
+    # g is linear, so g(reference) - g(other) = g(reference - other): fix
+    # that one difference in place, in the buffer of g(reference)
+    w = np.subtract(reference.weights, other.weights, out=ref.weights)
+    w -= w.mean(axis=0)
+    b = reference.biases - other.biases
+    return math.hypot(np.linalg.norm(w), np.linalg.norm(b - b.mean())) / denom
 
 
 def error_rate(predictions, truth) -> float:

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 
+from softmax_bounds import trainer
 from softmax_bounds.bounds import _as_scores, _log_sigmoid_impl
 from softmax_bounds.datasets import SparseDataset
 from softmax_bounds.rng import substream
@@ -29,6 +30,20 @@ def record_sampler_calls(monkeypatch, module):
         return sampler(rng, labels, *args, **kwargs)
 
     monkeypatch.setattr(module, "sample_rival_classes", recording)
+    return calls
+
+
+def record_kernel_calls(monkeypatch):
+    """Make ``train``'s step kernel append, per call, its instance count and
+    its number of gathered weight slots to the returned list."""
+    calls = []
+    kernel = trainer._sgd_step
+
+    def recording(ptr, owner, slots, values, classes, *args):
+        calls.append((classes.shape[0], slots.size))
+        return kernel(ptr, owner, slots, values, classes, *args)
+
+    monkeypatch.setattr(trainer, "_sgd_step", recording)
     return calls
 
 

@@ -777,6 +777,8 @@ class TestCompare:
         assert "non-finite" in capsys.readouterr().err
 
     def test_shape_mismatch(self, toy_files, tmp_path, capsys):
+        # the 5-class test set read with a 3-class reference's K: its
+        # first label past 3 is a data error naming its line
         _, test = toy_files
         ckpt = tmp_path / "wrong.bin"
         LinearModel.zeros(3, 7).save(str(ckpt))
@@ -784,7 +786,10 @@ class TestCompare:
                        "--candidate", f"also={ckpt}",
                        "--test", test, "--out", str(tmp_path / "cmp")])
         assert rc == 3
-        assert "test set" in capsys.readouterr().err
+        lines = pathlib.Path(test).read_text(encoding="utf-8").splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if int(line.split()[0]) > 3)
+        assert capsys.readouterr().err == (
+            f"error: line {lineno}: label exceeds the class count 3\n")
 
     def test_candidate_shape_mismatch(self, trained, toy_files, tmp_path, capsys):
         _, test = toy_files
@@ -795,7 +800,72 @@ class TestCompare:
                        "--test", test, "--out", str(tmp_path / "cmp")])
         assert rc == 3
         assert capsys.readouterr().err == (
-            f"error: checkpoint {ckpt} is 3 x 7 but the test set is 5 x 2\n")
+            f"error: {ckpt} against reference {ref}: "
+            f"shape mismatch: reference 5 x 2, other 3 x 7\n")
+
+    @staticmethod
+    def three_by_five(tmp_path):
+        """Two 3 x 5 checkpoints, as --reference and --candidate arguments."""
+        rng = np.random.default_rng(3)
+        argv = []
+        for flag, name in (("--reference", "r"), ("--candidate", "c")):
+            path = tmp_path / f"{name}.bin"
+            LinearModel(rng.normal(size=(3, 5)), rng.normal(size=3)).save(str(path))
+            argv += [flag, f"{name}={path}"]
+        return argv
+
+    def test_takes_k_and_d_from_the_reference(self, tmp_path):
+        # a 2-class, 3-feature file with no sidecar, against 3 x 5
+        # checkpoints, scores as the same file with a sidecar pinning 3 x 5
+        models = self.three_by_five(tmp_path)
+        tables = []
+        for name, sidecar in (("bare", None), ("pinned", '{"K": 3, "D": 5}')):
+            test = tmp_path / f"{name}.txt"
+            test.write_text("1 1:0.5 3:-1.0\n2 2:2.0\n1 3:0.25\n", encoding="utf-8")
+            if sidecar is not None:
+                (tmp_path / f"{name}.txt.meta.json").write_text(sidecar, encoding="utf-8")
+            out = tmp_path / f"cmp-{name}"
+            assert cli.main(["compare", *models, "--test", str(test), "--out", str(out)]) == 0
+            tables.append((out / "reports.json").read_bytes())
+        assert tables[0] == tables[1]
+        assert [r["method"] for r in json.loads(tables[0])] == ["r", "c"]
+
+    @pytest.mark.parametrize("row, problem", [
+        ("4 1:1.0", "label exceeds the class count 3"),
+        ("1 6:1.0", "feature index out of range for 5 features"),
+    ], ids=["label", "feature"])
+    def test_test_row_past_the_reference_names_its_line(self, tmp_path, capsys, row, problem):
+        test = tmp_path / "test.txt"
+        test.write_text(f"1 1:1.0\n\n{row}\n2 2:1.0\n", encoding="utf-8")
+        out = tmp_path / "cmp"
+        rc = cli.main(["compare", *self.three_by_five(tmp_path), "--test", str(test),
+                       "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: line 3: {problem}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k, d", [(1, 5), (0, 3), (2, 0)])
+    def test_reference_below_two_classes_or_one_feature_is_data_error(self, tmp_path, capsys,
+                                                                      k, d):
+        ref, cand = tmp_path / "small.bin", tmp_path / "c.bin"
+        LinearModel.zeros(k, d).save(str(ref))
+        LinearModel.zeros(3, 5).save(str(cand))
+        test = tmp_path / "test.txt"
+        test.write_text("1 1:1.0\n", encoding="utf-8")
+        rc = cli.main(["compare", "--reference", f"r={ref}", "--candidate", f"c={cand}",
+                       "--test", str(test), "--out", str(tmp_path / "cmp")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: reference {ref} is {k} x {d}; need >= 2 classes, >= 1 feature\n")
+
+    @pytest.mark.parametrize("flag", ["--num-classes", "--num-features"])
+    def test_has_no_dimension_flags(self, tmp_path, flag):
+        test = tmp_path / "test.txt"
+        test.write_text("1 1:1.0\n2 3:1.0\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["compare", *self.three_by_five(tmp_path), "--test", str(test),
+                      flag, "3", "--out", str(tmp_path / "cmp")])
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -816,7 +886,7 @@ def test_negative_seed_exits_2_on_every_command(argv, toy_files, tmp_path, capsy
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("command", ["train"])  # compare has no dimension flags
 @pytest.mark.parametrize("flag, value, least", [
     ("--num-classes", "1", 2),
     ("--num-classes", "0", 2),
@@ -829,15 +899,44 @@ def test_count_below_minimum_exits_2(command, flag, value, least, tmp_path, caps
     # would be raised to 2 classes, but an explicit one is taken as given
     data = tmp_path / "d.txt"
     data.write_text("1 1:1.0\n1 2:0.5\n1 1:2.0\n")
-    argv = {
-        "train": ["train", "--train", str(data), "--objective", "soft"],
-        "compare": ["compare", "--reference", "a=a.bin", "--candidate", "b=b.bin",
-                    "--test", str(data)],
-    }[command]
+    argv = [command, "--train", str(data), "--objective", "soft"]
     out = tmp_path / "run"
     assert cli.main(argv + [flag, value, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {flag} must be at least {least}, got {value}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("meta", ['{"K": 9223372036854775808}', '{"D": 9223372036854775808}',
+                                  '{"K": 18446744073709551616}', '{"D": 18446744073709551616}'])
+def test_sidecar_past_int64_is_data_error(command, meta, tmp_path, capsys):
+    # refused while reading the sidecar, before scipy meets a shape that
+    # does not fit in a C long
+    data = tmp_path / "d.txt"
+    data.write_text("1 1:1.0\n2 2:1.0\n", encoding="utf-8")
+    (tmp_path / "d.txt.meta.json").write_text(meta, encoding="utf-8")
+    ckpt = tmp_path / "m.bin"
+    LinearModel(np.eye(2), np.zeros(2)).save(str(ckpt))
+    argv = {"train": ["train", "--train", str(data), "--objective", "soft"],
+            "compare": ["compare", "--reference", f"a={ckpt}", "--candidate", f"b={ckpt}",
+                        "--test", str(data)]}[command]
+    out = tmp_path / "run"
+    assert cli.main(argv + ["--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {data}.meta.json: K and D must be integers in [0, 9223372036854775807]\n")
+    assert not out.exists()
+
+
+def test_sidecar_at_int64_max_features_meets_the_size_rule(tmp_path, capsys):
+    data = tmp_path / "d.txt"
+    data.write_text("1 1:1.0\n2 2:1.0\n", encoding="utf-8")
+    (tmp_path / "d.txt.meta.json").write_text('{"D": 9223372036854775807}', encoding="utf-8")
+    rc = cli.main(["train", "--train", str(data), "--objective", "soft",
+                   "--out", str(tmp_path / "run")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}: a 2 x 9223372036854775807 model needs more than ")
+    assert err.count("\n") == 1
 
 
 def _raise(exc):

@@ -18,6 +18,8 @@ from softmax_bounds.metrics import (
 )
 from softmax_bounds.rng import substream
 
+from helpers import traced_peak
+
 
 def random_model(rng, k=6, d=4):
     return LinearModel(weights=rng.normal(size=(k, d)), biases=rng.normal(size=k))
@@ -92,6 +94,42 @@ class TestParamNorm:
         flat = LinearModel(weights=np.ones((4, 3)), biases=np.full(4, 2.0))
         with pytest.raises(ValueError, match="zero"):
             param_norm(flat, random_model(substream(8, "pn"), k=4, d=3))
+
+
+def concatenated_param_norm(reference, other):
+    """The oracle: ``param_norm`` as the distance between two gauge-fixed
+    models, each flattened into one vector of weights and biases."""
+    g_ref, g_other = gauge_fix(reference), gauge_fix(other)
+    ref_vec = np.concatenate((g_ref.weights.ravel(), g_ref.biases))
+    other_vec = np.concatenate((g_other.weights.ravel(), g_other.biases))
+    return float(np.linalg.norm(ref_vec - other_vec)) / float(np.linalg.norm(ref_vec))
+
+
+class TestParamNormAtScale:
+    def test_peak_is_at_most_two_weight_arrays(self):
+        # the concatenated formula peaked at 5.0 x K * D * 8 bytes
+        k = d = 2000
+        rng = substream(9, "pn")
+        a, b = random_model(rng, k, d), random_model(rng, k, d)
+        assert traced_peak(param_norm, a, b) <= 2.1 * k * d * 8
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_concatenated_formula(self, seed):
+        rng = substream(seed, "pn-oracle")
+        k, d = int(rng.integers(2, 60)), int(rng.integers(1, 40))
+        a, b = random_model(rng, k, d), random_model(rng, k, d)
+        a.weights *= 10.0 ** rng.uniform(-3, 3)
+        c = rng.choice([-2.5, -1.0, 0.0, 0.3, 0.5, 2.0, 7.0])
+        shift_w, shift_b = rng.normal(size=d) * 5, rng.normal() * 5
+        pairs = [
+            (a, b),  # random
+            (a, LinearModel(c * a.weights, c * a.biases)),  # scaled
+            (a, LinearModel(b.weights + shift_w, b.biases + shift_b)),  # gauge-shifted
+            (a, LinearModel(c * a.weights + shift_w, c * a.biases + shift_b)),  # both
+        ]
+        for ref, other in pairs:
+            assert param_norm(ref, other) == pytest.approx(
+                concatenated_param_norm(ref, other), rel=1e-12, abs=0.0)
 
 
 class TestErrorRate:

@@ -35,7 +35,13 @@ from softmax_bounds.trainer import (
     train,
 )
 
-from helpers import dense_dataset, gen_toy_5class, record_sampler_calls, to_dense
+from helpers import (
+    dense_dataset,
+    gen_toy_5class,
+    record_kernel_calls,
+    record_sampler_calls,
+    to_dense,
+)
 
 PERFBENCH_GEN = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
 
@@ -564,19 +570,6 @@ def sparse_dataset(rng, n, num_classes, num_features, nnz, empty_share=0.0):
     return SparseDataset.from_dense(dense, rng.integers(0, num_classes, size=n), num_classes)
 
 
-def record_kernel_calls(monkeypatch):
-    """Make ``train``'s step kernel append its instance count to the returned list."""
-    calls = []
-    kernel = trainer._sgd_step
-
-    def recording(*args):
-        calls.append(args[4].shape[0])
-        return kernel(*args)
-
-    monkeypatch.setattr(trainer, "_sgd_step", recording)
-    return calls
-
-
 class TestFusedSteps:
     """``train`` runs disjoint steps as one group, bit-identical to one at a time."""
 
@@ -639,7 +632,7 @@ class TestFusedSteps:
         data = sparse_dataset(substream(44, "data"), n, k, d, nnz=3)
         cfg = TrainConfig(batch_size=1, num_sampled=5, lr0=0.1, epochs=2, lam=0.1, seed=2)
         train(LinearModel.zeros(k, d), data, cfg)
-        assert sum(calls) == 2 * n
+        assert sum(m for m, _ in calls) == 2 * n
         assert len(calls) < 2 * n / 4
 
     @pytest.mark.parametrize("batch_size, chunk", [(1, 1024), (3, 1023)])
@@ -674,8 +667,8 @@ class TestFusedSteps:
             reference_train(model, data, cfg)
         assert str(got.value) == str(expected.value)
         position = int(np.flatnonzero(substream(cfg.seed, "shuffle").permutation(n) == 0)[0])
-        group_start = sum(calls[:-1])
-        assert group_start + batch_size <= position < group_start + calls[-1]
+        group_start = sum(m for m, _ in calls[:-1])
+        assert group_start + batch_size <= position < group_start + calls[-1][0]
 
 
 @st.composite
