@@ -100,8 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--log-every", type=int, default=100)
     tr.add_argument("--lam", type=float, default=1.0, help="L2 strength")
     tr.add_argument("--seed", type=int, default=0)
-    tr.add_argument("--num-classes", type=int, help="override inferred class count")
-    tr.add_argument("--num-features", type=int, help="override inferred feature count")
     tr.add_argument("--out", default=".", help="output directory")
 
     cmp_ = sub.add_parser(
@@ -287,25 +285,6 @@ def _cmd_estimate(args, manifest, stage) -> str:
     return f"wrote {os.path.join(args.out, 'probs.json')}, {os.path.join(args.out, 'trace.csv')}"
 
 
-def _load_dataset(path, num_classes, num_features):
-    """``load_sparse`` that refuses a K x D model no array can hold, and
-    counts below 2 classes or 1 feature: exit 2 naming the flags when they
-    alone are at fault, else exit 3 naming the file."""
-    from softmax_bounds.config import ConfigError
-    from softmax_bounds.datasets import load_sparse
-
-    flags = (("--num-classes", num_classes, 2), ("--num-features", num_features, 1))
-    for flag, value, least in flags:
-        if value is not None and value < least:
-            raise ConfigError(f"{flag} must be at least {least}, got {value}")
-    k, d = num_classes or 2, num_features or 1  # without the flags, 4 values: never refused
-    _refuse_oversize(k * d + k, "the model", " ".join(f"{f} {v}" for f, v, _ in flags if v),
-                     ConfigError)
-    data = load_sparse(path, num_classes=num_classes, num_features=num_features)
-    _refuse_model(data, path)
-    return data
-
-
 def _refuse_model(data, source) -> None:
     from softmax_bounds.datasets import DatasetFormatError
 
@@ -328,7 +307,7 @@ def _evaluate(model, data):
 def _cmd_train(args, manifest, stage) -> str:
     from concurrent.futures import ThreadPoolExecutor
 
-    from softmax_bounds.datasets import unify_pair
+    from softmax_bounds.datasets import load_sparse, unify_pair
     from softmax_bounds.linear_model import (
         KIND_BOUCHARD,
         KIND_EXACT,
@@ -341,10 +320,12 @@ def _cmd_train(args, manifest, stage) -> str:
     from softmax_bounds.metrics import MethodReport
     from softmax_bounds.trainer import fit_full_batch, train
 
-    train_data = _load_dataset(args.train, args.num_classes, args.num_features)
+    train_data = load_sparse(args.train)
+    _refuse_model(train_data, args.train)
     manifest.add_dataset(args.train)
     if args.test is not None:
-        test_data = _load_dataset(args.test, args.num_classes, args.num_features)
+        test_data = load_sparse(args.test)
+        _refuse_model(test_data, args.test)
         manifest.add_dataset(args.test)
         train_data, test_data = unify_pair(train_data, test_data)
         _refuse_model(train_data, args.test)  # its K or D joined with the train set's
@@ -484,6 +465,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (ConvergenceError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        # well-formed inputs that this host cannot hold fail at run time,
+        # as a numerical failure does; exit 1 is also what the traceback gave
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (DatasetFormatError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -48,7 +48,7 @@ _PAIRS_PER_PASS = 1 << 16
 
 
 class DatasetFormatError(ValueError):
-    """A dataset file is malformed; the message carries the line number."""
+    """A dataset file is malformed; the message names the file and the line."""
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -163,16 +163,16 @@ def _sidecar(path: str) -> tuple[int, int]:
     return dims
 
 
-def _label(field: str, lineno: int) -> int:
-    """0-based label from a line's first token."""
+def _label(field: str, path: str, lineno: int) -> int:
+    """0-based label from the first token of line ``lineno`` of ``path``."""
     if ":" in field:
-        raise DatasetFormatError(f"line {lineno}: missing label field")
+        raise DatasetFormatError(f"{path}: line {lineno}: missing label field")
     try:
         label = int(field)
     except ValueError:
-        raise DatasetFormatError(f"line {lineno}: cannot parse label {field!r}") from None
+        raise DatasetFormatError(f"{path}: line {lineno}: cannot parse label {field!r}") from None
     if not 1 <= label <= _INT64_MAX:
-        raise DatasetFormatError(f"line {lineno}: label {label} out of range")
+        raise DatasetFormatError(f"{path}: line {lineno}: label {label} out of range")
     return label - 1
 
 
@@ -201,9 +201,10 @@ def load_sparse(
     """Load a single-label sparse text file.
 
     Rejects duplicate or unsorted feature indices, unparsable tokens, and
-    out-of-range labels, always naming the offending line. Blank lines are
-    skipped. An empty file (no instances) is an error. Explicit counts
-    below 2 classes or 1 feature raise ConfigError.
+    out-of-range labels, always naming the file and the offending line, as
+    ``<path>: line N: ...``. Blank lines are skipped. An empty file (no
+    instances) is an error. Explicit counts below 2 classes or 1 feature
+    raise ConfigError.
 
     Lines are split one at a time and their labels read; the idx:val
     tokens are collected and converted in passes of ``_PAIRS_PER_PASS``
@@ -229,7 +230,7 @@ def load_sparse(
             pos = sum(map(len, values)) + bad
             row = int(np.searchsorted(np.cumsum(counts), pos, side="right"))
             raise DatasetFormatError(
-                f"line {linenos[row]}: cannot parse idx:val pair {pairs[bad]!r}"
+                f"{path}: line {linenos[row]}: cannot parse idx:val pair {pairs[bad]!r}"
             ) from None
         indices.append(idx - 1)
         values.append(val)
@@ -240,7 +241,7 @@ def load_sparse(
             tokens = line.split()
             if not tokens:
                 continue
-            labels.append(_label(tokens[0], lineno))
+            labels.append(_label(tokens[0], path, lineno))
             linenos.append(lineno)
             counts.append(len(tokens) - 1)
             pairs += tokens[1:]
@@ -262,7 +263,7 @@ def load_sparse(
         return SparseDataset(indptr, indices, values, y, num_features, num_classes)
     except ValueError:  # a row breaks a rule; find it again, to name its line
         row, problem = _fault(indptr, indices, values, y, num_features, num_classes)
-        raise DatasetFormatError(f"line {linenos[row]}: {problem}") from None
+        raise DatasetFormatError(f"{path}: line {linenos[row]}: {problem}") from None
 
 
 def unify_pair(train: SparseDataset, test: SparseDataset) -> tuple[SparseDataset, SparseDataset]:

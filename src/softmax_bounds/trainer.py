@@ -242,11 +242,10 @@ class _Plan:
 
     Instances ``j * b`` up to ``(j + 1) * b`` form batch j; ``classes``,
     ``ptr``, ``owner``, ``slots`` and ``values`` cover all of them, laid
-    out by ``_gather``. Batch j wrote the sorted weight rows
-    ``rows[row_ptr[j]:row_ptr[j + 1]]``. ``groups`` lists the first batch
-    of each group, then the batch count. A group is a run of consecutive
-    batches whose rows are pairwise disjoint, grown greedily until the next
-    batch shares a row with one of its batches.
+    out by ``_gather``. ``groups`` lists the first batch of each group,
+    then the batch count. A group is a run of consecutive batches whose
+    rows are pairwise disjoint, grown greedily until the next batch shares
+    a row with one of its batches.
     """
 
     classes: np.ndarray
@@ -254,8 +253,6 @@ class _Plan:
     owner: np.ndarray
     slots: np.ndarray
     values: np.ndarray
-    rows: np.ndarray
-    row_ptr: list[int]
     groups: list[int]
 
 
@@ -279,7 +276,6 @@ def _plan(
     keys = np.sort((np.arange(m) // batch_size)[:, None] * num_classes + classes, axis=None)
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     key_batch, rows = np.divmod(keys, num_classes)
-    row_ptr = np.searchsorted(key_batch, np.arange(num_batches + 1)).tolist()
 
     # for each batch, the latest earlier batch that wrote any of its rows;
     # a stable sort by row keeps each row's batches ascending
@@ -296,7 +292,7 @@ def _plan(
         if seen >= groups[-1]:
             groups.append(j)
     groups.append(num_batches)
-    return _Plan(classes, ptr, owner, slots, values, rows, row_ptr, groups)
+    return _Plan(classes, ptr, owner, slots, values, groups)
 
 
 def _check_shapes(model: LinearModel, data: SparseDataset) -> None:
@@ -311,7 +307,6 @@ def train(
     model: LinearModel,
     data: SparseDataset,
     config: TrainConfig,
-    probe=None,
 ) -> tuple[LinearModel, TrainTrace]:
     """Run doubly stochastic SGD on the one-vs-each bound.
 
@@ -329,18 +324,14 @@ def train(
 
     Consecutive steps that write pairwise disjoint weight rows run as one
     vectorised group. A step reads only the rows it writes, so the result
-    is bit for bit that of running the steps one at a time.
+    is bit for bit that of running the steps one at a time. Each group is
+    one ``_sgd_step`` call, which receives every instance's (label,
+    rivals...) row and the weight slots the update then writes.
 
     At a chunk start, a decay scalar g (see the module docstring) below
     ``_RENORM_THRESHOLD`` is folded into the weights, at O(K * D) cost. One
     epoch decays g by at least 1 - lr0 * lam, so at lr0 * lam = 1e-4 the
     first fold comes after more than 1e5 epochs.
-
-    ``probe``, if given, is called once per step, in step order, as
-    ``probe(step, rows)`` with the sorted array of weight rows the step
-    wrote. The call comes after the step's update has been applied,
-    possibly together with the other steps of its group. It exists for
-    instrumentation and must not mutate anything.
     """
     _check_shapes(model, data)
     config.validate(num_classes=model.num_classes)
@@ -406,9 +397,6 @@ def train(
                 np.add.at(flat_values, slots, row_steps * feats[:, None])
                 np.add.at(biases, classes, steps)
 
-            if probe is not None:
-                for j in range(j0, j1):
-                    probe(step + j, plan.rows[plan.row_ptr[j] : plan.row_ptr[j + 1]])
             # the first multiple of log_every at or after the group's start
             first_logged = -(-(step + j0) // log_every) * log_every
             for logged in range(first_logged, step + j1, log_every):

@@ -33,14 +33,27 @@ def record_sampler_calls(monkeypatch, module):
     return calls
 
 
+class KernelCalls(list):
+    """(instances, gathered weight slots) per step kernel call, and the
+    arrays each call received: ``classes[c]`` holds one (label, rivals...)
+    row per instance, and ``slots[c]`` one row per nonzero, the flattened
+    (K, D) weight positions of that row's classes that the update writes."""
+
+    def __init__(self):
+        super().__init__()
+        self.classes, self.slots = [], []
+
+
 def record_kernel_calls(monkeypatch):
-    """Make ``train``'s step kernel append, per call, its instance count and
-    its number of gathered weight slots to the returned list."""
-    calls = []
+    """Make ``train``'s step kernel record each call in the returned
+    ``KernelCalls``."""
+    calls = KernelCalls()
     kernel = trainer._sgd_step
 
     def recording(ptr, owner, slots, values, classes, *args):
         calls.append((classes.shape[0], slots.size))
+        calls.classes.append(classes)
+        calls.slots.append(slots)
         return kernel(ptr, owner, slots, values, classes, *args)
 
     monkeypatch.setattr(trainer, "_sgd_step", recording)

@@ -50,7 +50,7 @@ from softmax_bounds.nonparam import (
 from softmax_bounds.rng import substream
 from softmax_bounds.trainer import fit_full_batch, stochastic_gradient, train
 
-from helpers import dense_dataset, gen_toy_5class, to_dense
+from helpers import dense_dataset, gen_toy_5class, record_kernel_calls, to_dense
 
 
 def report(n: int, detail: str) -> None:
@@ -410,44 +410,46 @@ def _synthetic_extreme(num_classes, num_features, n):
 
 
 @pytest.mark.slow
-def test_9_extreme_scale_sparse_training():
+def test_9_extreme_scale_sparse_training(monkeypatch):
     """Five epochs at 3000 classes x 50000 features stay sparse and improve.
 
     Every step may touch only the rows of the instance's label and its
-    sampled rivals; the probe replays the shuffle and class-sampling
-    streams independently, drawing each chunk's rivals in one sampler call
-    as ``train`` does, and checks the touched set exactly.
+    sampled rivals. The (label, rivals...) rows that the step kernel
+    receives must equal an independent replay of the shuffle and
+    class-sampling streams, which draws each chunk's rivals in one sampler
+    call as ``train`` does, and every weight slot the kernel's update
+    writes must lie in a row of its own instance.
     """
     k, d, n, s = 3000, 50_000, 100_000, 5
     data = _synthetic_extreme(k, d, n)
     labels = data.labels()
+    calls = record_kernel_calls(monkeypatch)
+    cfg = TrainConfig(batch_size=1, num_sampled=s, lr0=3e-4, lr_decay=0.9,
+                      epochs=5, lam=0.1, seed=11, log_every=250)
+    fitted, trace = train(LinearModel.zeros(k, d), data, cfg)
 
     shuffle_replay = substream(11, "shuffle")
     class_replay = substream(11, "classes")
-    state = {"order": None, "rivals": None, "mismatches": 0, "max_touched": 0, "steps": 0}
+    replay = []
+    for _ in range(cfg.epochs):
+        order = shuffle_replay.permutation(n)
+        for i in range(0, n, _CHUNK):  # at b = 1 a chunk is _CHUNK steps
+            chunk_labels = labels[order[i : i + _CHUNK]]
+            rivals = sample_rival_classes(class_replay, chunk_labels, k, s)
+            replay.append(np.column_stack((chunk_labels, rivals)))
+    classes = np.concatenate(calls.classes)
+    assert classes.shape == (5 * n, 1 + s)
+    assert np.array_equal(classes, np.concatenate(replay))
+    ordered = np.sort(classes, axis=1)
+    assert (ordered[:, 1:] > ordered[:, :-1]).all()  # S + 1 distinct rows per step
 
-    def probe(step, touched):
-        i = step % n
-        if i == 0:
-            state["order"] = shuffle_replay.permutation(n)
-        if i % _CHUNK == 0:  # at b = 1 a chunk is _CHUNK steps
-            chunk_labels = labels[state["order"][i : i + _CHUNK]]
-            state["rivals"] = sample_rival_classes(class_replay, chunk_labels, k, s)
-        label = labels[state["order"][i]]
-        rivals = state["rivals"][i % _CHUNK]
-        expected = np.unique(np.concatenate(([label], rivals)))
-        if not np.array_equal(np.sort(np.asarray(touched)), expected):
-            state["mismatches"] += 1
-        state["max_touched"] = max(state["max_touched"], len(touched))
-        state["steps"] += 1
-
-    cfg = TrainConfig(batch_size=1, num_sampled=s, lr0=3e-4, lr_decay=0.9,
-                      epochs=5, lam=0.1, seed=11, log_every=250)
-    fitted, trace = train(LinearModel.zeros(k, d), data, cfg, probe=probe)
-
-    assert state["steps"] == 5 * n
-    assert state["mismatches"] == 0
-    assert state["max_touched"] <= 1 + s
+    # every row holds 10 nonzeros, so nonzero j of a call belongs to its
+    # instance j // 10: slots // D == classes[owner], call by call
+    misplaced = sum(
+        not (slots.reshape(len(rows), 10, 1 + s) // d == rows[:, None]).all()
+        for rows, slots in zip(calls.classes, calls.slots)
+    )
+    assert misplaced == 0
     assert np.isfinite(fitted.weights).all()
     assert np.isfinite(fitted.biases).all()
 
@@ -458,7 +460,7 @@ def test_9_extreme_scale_sparse_training():
     assert np.all(rises >= 0.0)
     report(
         9,
-        f"{state['steps']} steps, touched <= {state['max_touched']} rows, "
+        f"{len(classes)} steps in {len(calls)} kernel calls, {1 + s} rows each, "
         f"final-epoch smoothed trace monotone over {len(final_epoch)} points "
         f"(min rise {rises.min():.3f})",
     )

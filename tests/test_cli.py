@@ -343,7 +343,7 @@ class TestEstimate:
                        "--out", str(tmp_path / "run")])
         assert rc == 3
         assert capsys.readouterr().err == (
-            "error: line 2: label 99999999999999999999 out of range\n")
+            f"error: {path}: line 2: label 99999999999999999999 out of range\n")
 
     def test_label_past_the_array_size_limit_is_data_error(self, tmp_path, capsys):
         # K = 2**63 - 1 classes: refused before np.bincount is asked for them
@@ -495,6 +495,44 @@ class TestTrain:
                        "--out", str(tmp_path / "run")])
         assert rc == 3
 
+    def test_bad_test_line_names_the_test_file(self, toy_files, tmp_path, capsys):
+        train, _ = toy_files
+        test = tmp_path / "test.txt"
+        test.write_text("1 1:0.5\n2 2:x\n", encoding="utf-8")
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--train", train, "--test", str(test), "--objective", "soft",
+                       "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: {test}: line 2: cannot parse idx:val pair '2:x'\n")
+        assert not out.exists()
+
+    def test_model_past_the_address_space_is_one_error_line(self, tmp_path):
+        # a 20000 x 20000 sidecar asks for a 3.2 GB model, under the size
+        # rule; the child process caps its own address space at 2 GB, so
+        # the allocation fails with numpy's MemoryError
+        data = tmp_path / "d.txt"
+        data.write_text("1 1:1.0\n2 2:1.0\n", encoding="utf-8")
+        (tmp_path / "d.txt.meta.json").write_text('{"K": 20000, "D": 20000}', encoding="utf-8")
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "report.json").write_text("{}\n", encoding="utf-8")
+        before = snapshot(out)
+        code = ("import resource, sys\n"
+                "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, hard))\n"
+                "from softmax_bounds import cli\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+        result = subprocess.run(
+            [sys.executable, "-c", code, "train", "--train", str(data),
+             "--objective", "ove-sgd", "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, "SOFTMAX_BOUNDS_THREADS": "1"},
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: out of memory: Unable to allocate ")
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+        assert snapshot(out) == before
+
     def test_malformed_sidecar(self, tmp_path, capsys):
         path = tmp_path / "t.txt"
         path.write_text("1 1:1.0\n2 2:1.0\n", encoding="utf-8")
@@ -517,16 +555,6 @@ class TestTrain:
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
-
-    def test_num_features_past_the_array_size_limit_is_config_error(self, toy_files, tmp_path,
-                                                                    capsys):
-        train, _ = toy_files
-        rc = cli.main(["train", "--train", train, "--objective", "soft",
-                       "--num-features", "9223372036854775807", "--out", str(tmp_path / "run")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: --num-features 9223372036854775807: ")
-        assert err.count("\n") == 1
 
     def test_bad_learning_rate(self, toy_files, tmp_path, capsys):
         train, _ = toy_files
@@ -789,7 +817,7 @@ class TestCompare:
         lines = pathlib.Path(test).read_text(encoding="utf-8").splitlines()
         lineno = next(i for i, line in enumerate(lines, 1) if int(line.split()[0]) > 3)
         assert capsys.readouterr().err == (
-            f"error: line {lineno}: label exceeds the class count 3\n")
+            f"error: {test}: line {lineno}: label exceeds the class count 3\n")
 
     def test_candidate_shape_mismatch(self, trained, toy_files, tmp_path, capsys):
         _, test = toy_files
@@ -841,7 +869,7 @@ class TestCompare:
         rc = cli.main(["compare", *self.three_by_five(tmp_path), "--test", str(test),
                        "--out", str(out)])
         assert rc == 3
-        assert capsys.readouterr().err == f"error: line 3: {problem}\n"
+        assert capsys.readouterr().err == f"error: {test}: line 3: {problem}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("k, d", [(1, 5), (0, 3), (2, 0)])
@@ -858,14 +886,24 @@ class TestCompare:
         assert capsys.readouterr().err == (
             f"error: reference {ref} is {k} x {d}; need >= 2 classes, >= 1 feature\n")
 
-    @pytest.mark.parametrize("flag", ["--num-classes", "--num-features"])
-    def test_has_no_dimension_flags(self, tmp_path, flag):
+    # K and D come from train's sidecars or compare's reference; explicit
+    # ids keep the compare cases' names stable
+    @pytest.mark.parametrize("command, flag", [
+        ("compare", "--num-classes"), ("compare", "--num-features"),
+        ("train", "--num-classes"), ("train", "--num-features"),
+    ], ids=["--num-classes", "--num-features", "train---num-classes", "train---num-features"])
+    def test_has_no_dimension_flags(self, tmp_path, command, flag):
         test = tmp_path / "test.txt"
         test.write_text("1 1:1.0\n2 3:1.0\n", encoding="utf-8")
+        if command == "compare":
+            argv = ["compare", *self.three_by_five(tmp_path), "--test", str(test)]
+        else:
+            argv = ["train", "--train", str(test), "--objective", "soft"]
+        out = tmp_path / "run"
         with pytest.raises(SystemExit) as exc:
-            cli.main(["compare", *self.three_by_five(tmp_path), "--test", str(test),
-                      flag, "3", "--out", str(tmp_path / "cmp")])
+            cli.main(argv + [flag, "3", "--out", str(out)])
         assert exc.value.code == 2
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -883,26 +921,6 @@ def test_negative_seed_exits_2_on_every_command(argv, toy_files, tmp_path, capsy
     assert cli.main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         f"error: seed must be a non-negative integer, got {argv[-1]}\n")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["train"])  # compare has no dimension flags
-@pytest.mark.parametrize("flag, value, least", [
-    ("--num-classes", "1", 2),
-    ("--num-classes", "0", 2),
-    ("--num-classes", "-5", 2),
-    ("--num-features", "0", 1),
-    ("--num-features", "-1", 1),
-])
-def test_count_below_minimum_exits_2(command, flag, value, least, tmp_path, capsys):
-    # every label is 1, so --num-classes 1 fits the file; an inferred count
-    # would be raised to 2 classes, but an explicit one is taken as given
-    data = tmp_path / "d.txt"
-    data.write_text("1 1:1.0\n1 2:0.5\n1 1:2.0\n")
-    argv = [command, "--train", str(data), "--objective", "soft"]
-    out = tmp_path / "run"
-    assert cli.main(argv + [flag, value, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {flag} must be at least {least}, got {value}\n"
     assert not out.exists()
 
 

@@ -3,7 +3,8 @@
 One doubly stochastic step over b instances costs O(b * (S + 1) * nnz),
 whatever K and D are, and a full-batch evaluation costs a fixed number of
 passes over the scores. Wall clock on a shared host drifts; the counts
-below do not, so these gates pin them exactly.
+below do not, so these gates pin them exactly. ``train``'s traced memory
+peak is gated the same way, in units of one K x D weight array.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from softmax_bounds.datasets import SparseDataset
 from softmax_bounds.linear_model import KIND_BOUCHARD, KIND_EXACT, KIND_OVE, LinearModel, Objective
 from softmax_bounds.rng import substream
 
-from helpers import dense_dataset, record_kernel_calls
+from helpers import dense_dataset, record_kernel_calls, traced_peak
 
 
 def record_gathered_nnz(monkeypatch):
@@ -58,6 +59,18 @@ def test_train_gathers_s_plus_one_slots_per_nonzero(num_classes, batch_size, mon
     assert sum(gathered) == epochs * data.to_csr()[0].nnz
     assert sum(m for m, _ in kernel) == epochs * len(data)
     assert sum(slots for _, slots in kernel) == (num_sampled + 1) * sum(gathered)
+
+
+@pytest.mark.parametrize("epochs", [1, 4])
+def test_train_peak_is_one_weight_array(epochs):
+    # train holds one K x D copy of the weights, decayed lazily, and the
+    # plan of one chunk at a time, so the peak neither doubles nor grows
+    # with the epochs (about 1.16 x K * D * 8 bytes here)
+    k = d = 1000
+    data = ragged_dataset(substream(62, "cost"), 2000, k, d, max_nnz=10)
+    model = LinearModel.zeros(k, d)
+    cfg = TrainConfig(batch_size=1, num_sampled=5, lr0=0.1, epochs=epochs, lam=0.1, seed=9)
+    assert traced_peak(trainer.train, model, data, cfg) <= 1.5 * k * d * 8
 
 
 @pytest.mark.parametrize("kind, passes", [(KIND_EXACT, 2), (KIND_OVE, 1), (KIND_BOUCHARD, 3)])

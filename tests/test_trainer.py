@@ -297,7 +297,7 @@ class TestTrain:
         np.testing.assert_allclose(got.weights, w, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(got.biases, b, rtol=1e-10, atol=1e-12)
 
-    def test_updates_touch_only_sampled_rows(self):
+    def test_updates_touch_only_sampled_rows(self, monkeypatch):
         rng = substream(8, "data")
         k = 9
         data = dense_dataset(rng, 4, k, 3)
@@ -306,10 +306,10 @@ class TestTrain:
         )
         cfg = TrainConfig(batch_size=1, num_sampled=2, lr0=0.1, epochs=1,
                           lam=0.0, seed=5)
-        seen: list[np.ndarray] = []
-        final, _ = train(start, data, cfg, probe=lambda step, rows: seen.append(rows))
-        assert len(seen) == 4
-        touched_ever = set(np.concatenate(seen).tolist())
+        calls = record_kernel_calls(monkeypatch)
+        final, _ = train(start, data, cfg)
+        assert sum(m for m, _ in calls) == 4
+        touched_ever = set(np.concatenate(calls.classes).ravel().tolist())
         labels = set(data.labels().tolist())
         assert labels <= touched_ever
         for r in range(k):
@@ -480,8 +480,9 @@ def reference_train(model, data, config, probe=None):
     chunk of ``nonparam._CHUNK`` instances rounded down to whole batches.
     It keeps the weights as ``g * values`` with one decay scalar ``g``, as
     ``train`` does, so that the comparison tests the fusion alone, not how
-    the decay is represented. Returns (weights, biases, trace rows without
-    elapsed_ms)."""
+    the decay is represented. ``probe``, if given, receives each step's
+    (label, rivals...) rows after its update. Returns (weights, biases,
+    trace rows without elapsed_ms)."""
     n = len(data)
     mat, labels_all = data.to_csr()
     indptr, feat_idx, feat_val = mat.indptr, mat.indices, mat.data
@@ -515,7 +516,6 @@ def reference_train(model, data, config, probe=None):
             batch_labels = labels_all[chosen]
             rivals = chunk_rivals[start % chunk : start % chunk + batch_size]
             classes = np.column_stack((batch_labels, rivals))
-            touched = np.unique(classes)
 
             b, width = classes.shape
             starts = indptr[chosen]
@@ -550,7 +550,7 @@ def reference_train(model, data, config, probe=None):
             np.add.at(biases, classes, steps)
 
             if probe is not None:
-                probe(step, touched)
+                probe(classes)
             if step % config.log_every == 0:
                 rows_logged.append((step, bound, lr, epoch))
                 last_logged = step
@@ -578,16 +578,15 @@ class TestFusedSteps:
         rng = substream(40, "model")
         model = LinearModel(weights=rng.normal(size=(k, d)) * start_scale,
                             biases=rng.normal(size=k) * start_scale)
-        seen, expected_seen = [], []
-        got, trace = train(model, data, cfg,
-                           probe=lambda step, rows: seen.append((step, rows.tolist())))
-        w, b, rows = reference_train(
-            model, data, cfg, probe=lambda step, rows: expected_seen.append((step, rows.tolist()))
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            calls = record_kernel_calls(patch)
+            got, trace = train(model, data, cfg)
+        expected = []
+        w, b, rows = reference_train(model, data, cfg, probe=expected.append)
         assert np.array_equal(got.weights, w)
         assert np.array_equal(got.biases, b)
         assert [r[:4] for r in trace.rows] == rows
-        assert seen == expected_seen
+        assert np.array_equal(np.concatenate(calls.classes), np.concatenate(expected))
 
     @pytest.mark.parametrize("batch_size", [1, 3, 100])
     @pytest.mark.parametrize("lam", [0.0, 0.3])
